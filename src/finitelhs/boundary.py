@@ -1,16 +1,21 @@
 """The critical-visibility integral and the axially symmetric boundary family.
 
 A diagonal correlation matrix T0 is critical when the sphere average
-``(1/2pi) integral |T0 n| dn`` equals 1.  For T0 = diag(a, a, t0z) the
-integral is monotone in ``a``, so the boundary curve a(t0z) is found by
-bisection.
+``(1/2pi) integral |T0 n| dn`` equals 1.  That integral is
+``2 R_G(dx^2, dy^2, dz^2)`` with R_G Carlson's symmetric elliptic integral
+(B. C. Carlson, Numer. Algorithms 10 (1995) 13-26; DLMF 19.16), since
+``R_G(x, y, z) = (1/4pi) integral sqrt(x n1^2 + y n2^2 + z n3^2) dn``.
+For T0 = diag(a, a, t0z) the integral is monotone in ``a``, so the boundary
+curve a(t0z) is found by bisection.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import elliprg
 
 from . import serialize
 from .qstate import DiagMat3
@@ -18,64 +23,40 @@ from .qstate import DiagMat3
 SOLVER_TOL = 1e-10
 BRACKET = (1e-6, 1.5)
 DEFAULT_T0Z_MIN = 0.02
-N_POLAR = 64
-N_AZIMUTH = 128
 
 
-@dataclass(frozen=True, eq=False)
-class SphereQuadrature:
-    """Product rule on the unit sphere: nodes (n, 3) and weights summing to 4pi.
-
-    Gauss-Legendre in the polar angle with separate panels for each
-    hemisphere (the integrands of interest are analytic on each hemisphere
-    but can kink at the equator or vanish like |sin theta| at the poles,
-    which ruins a single rule in cos theta), times a uniform trapezoid rule
-    in azimuth.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    n_polar: int
-    n_azimuth: int
-
-
-def product_quadrature(n_polar: int = N_POLAR, n_azimuth: int = N_AZIMUTH) -> SphereQuadrature:
-    """Build the quadrature with ``n_polar`` points per hemisphere panel."""
-    if n_polar < 2 or n_azimuth < 2:
-        raise ValueError("quadrature orders must be at least 2")
-    x, w = np.polynomial.legendre.leggauss(n_polar)
-    thetas, wtheta = [], []
-    for a, b in ((0.0, np.pi / 2), (np.pi / 2, np.pi)):
-        thetas.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        wtheta.append(0.5 * (b - a) * w)
-    theta = np.concatenate(thetas)
-    wtheta = np.concatenate(wtheta)
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    sin_th = np.sin(th)
-    nodes = np.stack(
-        [sin_th * np.cos(ph), sin_th * np.sin(ph), np.cos(th)], axis=-1
-    ).reshape(-1, 3)
-    weights = (
-        np.repeat((wtheta * np.sin(theta))[:, None], n_azimuth, axis=1)
-        * (2.0 * np.pi / n_azimuth)
-    ).reshape(-1)
-    return SphereQuadrature(nodes=nodes, weights=weights,
-                            n_polar=n_polar, n_azimuth=n_azimuth)
-
-
-DEFAULT_QUADRATURE = product_quadrature()
-
-
-def norm_integral(corr: DiagMat3, quad: SphereQuadrature | None = None) -> float:
+def norm_integral(corr: DiagMat3) -> float:
     """``(1/2pi) integral |corr @ n| dn`` over the unit sphere."""
-    q = DEFAULT_QUADRATURE if quad is None else quad
-    values = np.linalg.norm(q.nodes * corr.as_array(), axis=1)
-    return float(q.weights @ values) / (2.0 * np.pi)
+    # elliprg returns 0 or nan when all three arguments are below ~1e-150 or
+    # above ~1e150, so evaluate the integral, which is homogeneous of degree
+    # one, at the diagonal scaled to largest entry 1.
+    scale = max(abs(corr.dx), abs(corr.dy), abs(corr.dz))
+    if scale == 0.0:
+        return 0.0
+    x, y, z = corr.dx / scale, corr.dy / scale, corr.dz / scale
+    return 2.0 * scale * float(elliprg(x * x, y * y, z * z))
 
 
-def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL,
-                         quad: SphereQuadrature | None = None) -> float:
+def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 0.0) -> float:
+    """A root of ``f`` between ``lo`` and ``hi``, where f(lo) < 0 < f(hi).
+
+    Halves the bracket until ``|f(mid)| <= tol`` or the midpoint no longer
+    falls strictly inside it, i.e. the bracket has closed to adjacent floats.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        f_mid = f(mid)
+        if abs(f_mid) <= tol:
+            return mid
+        if f_mid < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL) -> float:
     """The t0x with norm_integral(diag(t0x, t0x, t0z)) = 1, by bisection.
 
     At t0z = 1 the root degenerates to 0+; the lower bracket end is
@@ -87,7 +68,7 @@ def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL,
         raise ValueError(f"tolerance must be positive, got {tol!r}")
 
     def residual(a: float) -> float:
-        return norm_integral(DiagMat3(a, a, t0z), quad) - 1.0
+        return norm_integral(DiagMat3(a, a, t0z)) - 1.0
 
     lo, hi = BRACKET
     f_lo = residual(lo)
@@ -97,16 +78,7 @@ def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL,
         raise ValueError(f"no boundary crossing above t0x = {lo} for t0z = {t0z}")
     if residual(hi) < 0:
         raise ValueError(f"no boundary crossing below t0x = {hi} for t0z = {t0z}")
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if abs(f_mid) <= tol:
-            return mid
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(residual, lo, hi, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +93,14 @@ class BoundaryCurve:
 
 
 def sample_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
-                        tol: float = SOLVER_TOL,
-                        quad: SphereQuadrature | None = None) -> BoundaryCurve:
+                        tol: float = SOLVER_TOL) -> BoundaryCurve:
     """Solve the boundary on a uniform t0z grid from t0z_min to 1."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if not (0.0 < t0z_min < 1.0):
         raise ValueError(f"t0z_min must lie in (0, 1), got {t0z_min!r}")
     zs = np.linspace(t0z_min, 1.0, n)
-    xs = np.array([axial_boundary_solve(z, tol=tol, quad=quad) for z in zs])
+    xs = np.array([axial_boundary_solve(z, tol=tol) for z in zs])
     return BoundaryCurve(t0z=zs, t0x=xs)
 
 

@@ -31,7 +31,6 @@ from .belldecomp import (
     schmidt_residual,
 )
 from .boundary import (
-    DEFAULT_QUADRATURE,
     DEFAULT_T0Z_MIN,
     SOLVER_TOL,
     boundary_csv,
@@ -39,8 +38,6 @@ from .boundary import (
     sample_axial_family,
 )
 from .geometry import (
-    ICOSAHEDRON_INRADIUS,
-    ICOSAHEDRON_SIGN_SUM,
     Rotation,
     cube,
     icosahedron,
@@ -58,6 +55,8 @@ from .lhsmodel import (
 )
 from .qstate import DiagMat3
 from .scanopt import (
+    REGIMES,
+    VISIBILITY_PER_S,
     analytic_norm_constants,
     random_orientation_search,
     scan_axial_family,
@@ -69,11 +68,6 @@ RESIDUAL_GATE = 1e-8
 DECOMP_GATE = 1e-10
 OPTIMIZE_SLACK = 1e-9
 AXIAL_TOL = 1e-12
-
-# visibility per unit weight-normalization constant, icosahedron only
-ICOSA_VISIBILITY_PER_S = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 12.0
-
-_ORIENTATION_NAMES = ("vertex", "face", "edge")
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -97,8 +91,8 @@ def _random_directions(n: int, seed: int) -> np.ndarray:
 
 def _parse_orientation(tokens: list[str], seed: int) -> tuple[Rotation, dict]:
     """Resolve an orientation spec to a rotation plus a config echo."""
-    if len(tokens) == 1 and tokens[0] in _ORIENTATION_NAMES:
-        rot = special_orientations()[_ORIENTATION_NAMES.index(tokens[0])]
+    if len(tokens) == 1 and tokens[0] in REGIMES:
+        rot = special_orientations()[REGIMES.index(tokens[0])]
         echo = {"orientation": tokens[0]}
     elif len(tokens) == 1 and tokens[0] == "random":
         rot = random_rotation(np.random.default_rng(seed))
@@ -115,13 +109,6 @@ def _parse_orientation(tokens: list[str], seed: int) -> tuple[Rotation, dict]:
         )
     echo["quaternion"] = [float(c) for c in rot.quat]
     return rot, echo
-
-
-def _quadrature_echo() -> dict:
-    return {
-        "n_polar": DEFAULT_QUADRATURE.n_polar,
-        "n_azimuth": DEFAULT_QUADRATURE.n_azimuth,
-    }
 
 
 def cmd_model(args: argparse.Namespace) -> int:
@@ -180,7 +167,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
             "n": args.n,
             "t0z_min": args.t0z_min,
             "solver_tol": args.tol,
-            "quadrature": _quadrature_echo(),
+            "integral": "carlson_rg",
         }
         _write_text(serialize.dumps(meta), args.out + ".meta.json")
     if args.validate:
@@ -203,7 +190,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "t0z_min": args.t0z_min,
         "seed": args.seed,
         "solver_tol": args.tol,
-        "quadrature": _quadrature_echo(),
+        "integral": "carlson_rg",
     }
     summary_path = args.summary
     if args.out not in (None, "-"):
@@ -225,7 +212,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     axial = abs(abs(target.dx) - abs(target.dy)) <= AXIAL_TOL
     if axial:
         s_values = analytic_norm_constants(abs(target.dx), abs(target.dz))
-        analytic_best = max(s_values) * ICOSA_VISIBILITY_PER_S
+        analytic_best = max(s_values) * VISIBILITY_PER_S
     else:
         vis = [
             build_polyhedron_model(target, icosahedron(rot)).visibility

@@ -17,7 +17,28 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 ICOSAHEDRON_INRADIUS = np.sqrt((5.0 + 2.0 * np.sqrt(5.0)) / 15.0)
 ICOSAHEDRON_SIGN_SUM = 2.0 * (1.0 + np.sqrt(5.0))
 
+# |v . w| at or below this counts as orthogonal: rotated solids leave
+# ~1e-17 of rounding noise where the exact dot product is 0.
+SIGN_TOL = 1e-12
+
 _Z = np.array([0.0, 0.0, 1.0])
+
+
+def quaternion_matrices(quats: np.ndarray) -> np.ndarray:
+    """Rotation matrices (n, 3, 3) of the unit quaternions (w, x, y, z) in
+    the rows of ``quats``."""
+    w, x, y, z = np.asarray(quats, dtype=float).T
+    mats = np.empty((len(w), 3, 3))
+    mats[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    mats[:, 0, 1] = 2 * (x * y - w * z)
+    mats[:, 0, 2] = 2 * (x * z + w * y)
+    mats[:, 1, 0] = 2 * (x * y + w * z)
+    mats[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    mats[:, 1, 2] = 2 * (y * z - w * x)
+    mats[:, 2, 0] = 2 * (x * z - w * y)
+    mats[:, 2, 1] = 2 * (y * z + w * x)
+    mats[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return mats
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,12 +57,7 @@ class Rotation:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        w, x, y, z = self.quat
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        return quaternion_matrices(self.quat[None, :])[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Rotate a (3,) vector or the rows of an (n, 3) array."""
@@ -186,13 +202,20 @@ def octahedron(orientation: Rotation | None = None) -> Polyhedron:
     return polyhedron_from_vertices(v, kind="custom")
 
 
+def vertex_signs(vertices: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """sign(v . w) for the rows v of ``vertices`` against ``others`` (rows,
+    or a single vector), with |v . w| <= SIGN_TOL read as 0."""
+    dots = vertices @ others.T
+    return np.where(np.abs(dots) <= SIGN_TOL, 0.0, np.sign(dots))
+
+
 def gamma_identity_check(p: Polyhedron) -> float:
     """Max residual of  sum_j sign(v_j . v_i) v_j = 2(1+sqrt5) v_i  over vertices.
 
     Near zero only for the icosahedron; large values flag other solids.
     """
     v = p.vertices
-    sums = np.sign(v @ v.T) @ v
+    sums = vertex_signs(v, v) @ v
     return float(np.linalg.norm(sums - ICOSAHEDRON_SIGN_SUM * v, axis=1).max())
 
 
@@ -203,7 +226,7 @@ def sign_sum_constant(p: Polyhedron, tol: float = 1e-9) -> float:
     polyhedron out as a response-mixture carrier.
     """
     v = p.vertices
-    sums = np.sign(v @ v.T) @ v
+    sums = vertex_signs(v, v) @ v
     c = np.einsum("ij,ij->i", sums, v)
     residual = np.linalg.norm(sums - c[:, None] * v, axis=1).max()
     if residual > tol or c.max() - c.min() > tol:

@@ -29,6 +29,7 @@ from .geometry import (
     polyhedron_from_vertices,
     sign_sum_constant,
     tetrahedron,
+    vertex_signs,
 )
 from .qstate import DiagMat3, Measurement, TState, as_unit_vector
 
@@ -138,7 +139,7 @@ def _response_matrix(model: FiniteLhsModel, directions: np.ndarray) -> np.ndarra
     """f values, shape (n_directions, n_atoms)."""
     if isinstance(model.response, SignMixture):
         weights = decompose_directions(model.response.polyhedron, directions)
-        signs = np.sign(model.response.polyhedron.vertices @ model._preimages.T)
+        signs = vertex_signs(model.response.polyhedron.vertices, model._preimages)
         return model.response.scale * (weights @ signs)
     return directions @ model._alice_blochs.T
 
@@ -148,7 +149,7 @@ def response_value(model: FiniteLhsModel, atom: Atom, x) -> float:
     x = as_unit_vector(x, "measurement axis")
     if isinstance(model.response, SignMixture):
         weights = decompose_directions(model.response.polyhedron, x[None, :])[0]
-        signs = np.sign(model.response.polyhedron.vertices @ atom.preimage)
+        signs = vertex_signs(model.response.polyhedron.vertices, atom.preimage)
         return float(model.response.scale * (weights @ signs))
     if atom.alice_bloch is None:
         raise ValueError("linear-response atom is missing alice_bloch")

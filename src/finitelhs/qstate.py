@@ -9,6 +9,7 @@ description.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,14 @@ class DiagMat3:
     dx: float
     dy: float
     dz: float
+
+    def __post_init__(self) -> None:
+        # scalar checks: the boundary solver builds one of these per evaluation
+        if not (math.isfinite(self.dx) and math.isfinite(self.dy)
+                and math.isfinite(self.dz)):
+            raise ValueError(
+                f"diagonal entries must be finite, got ({self.dx!r}, {self.dy!r}, {self.dz!r})"
+            )
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dz], dtype=float)

@@ -17,8 +17,8 @@ from . import serialize
 from .boundary import (
     DEFAULT_T0Z_MIN,
     SOLVER_TOL,
-    SphereQuadrature,
     axial_boundary_solve,
+    bisect,
     sample_axial_family,
 )
 from .geometry import (
@@ -26,6 +26,7 @@ from .geometry import (
     ICOSAHEDRON_SIGN_SUM,
     Rotation,
     icosahedron,
+    quaternion_matrices,
     special_orientations,
 )
 from .lhsmodel import FiniteLhsModel, build_icosahedron_model, entropy_bits
@@ -39,9 +40,7 @@ _BETA_PLUS = 2.5 + np.sqrt(5.0)
 _BETA_MINUS = 2.5 - np.sqrt(5.0)
 
 # visibility = S * this factor, for any orientation
-_VISIBILITY_PER_S = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 12.0
-
-CROSSOVER_RESOLUTION = 1e-6
+VISIBILITY_PER_S = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 12.0
 
 
 def analytic_norm_constants(t0x: float, t0z: float) -> tuple[float, float, float]:
@@ -83,19 +82,8 @@ def random_orientation_search(target: DiagMat3, n_rotations: int,
     rng = np.random.default_rng(seed)
     quats = rng.standard_normal((n_rotations, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    w, x, y, z = quats.T
-    mats = np.empty((n_rotations, 3, 3))
-    mats[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    mats[:, 0, 1] = 2 * (x * y - w * z)
-    mats[:, 0, 2] = 2 * (x * z + w * y)
-    mats[:, 1, 0] = 2 * (x * y + w * z)
-    mats[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    mats[:, 1, 2] = 2 * (y * z - w * x)
-    mats[:, 2, 0] = 2 * (x * z - w * y)
-    mats[:, 2, 1] = 2 * (y * z + w * x)
-    mats[:, 2, 2] = 1 - 2 * (x * x + y * y)
     verts = icosahedron().vertices
-    rotated = np.einsum("nij,vj->nvi", mats, verts)
+    rotated = np.einsum("nij,vj->nvi", quaternion_matrices(quats), verts)
     sums = np.linalg.norm(rotated * target.as_array(), axis=2).sum(axis=1)
     best = int(np.argmin(sums))
     visibility = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / float(sums[best])
@@ -147,17 +135,16 @@ def optimal_axial_model(t0x: float, t0z: float) -> tuple[FiniteLhsModel, str]:
 
 
 def scan_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
-                      tol: float = SOLVER_TOL,
-                      quad: SphereQuadrature | None = None) -> list[AxialPoint]:
+                      tol: float = SOLVER_TOL) -> list[AxialPoint]:
     """Solve, classify, and size the model at n points of the boundary."""
-    curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol, quad=quad)
+    curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol)
     orientations = special_orientations()
     rotated = [icosahedron(rot).vertices for rot in orientations]
     points = []
     for t0z, t0x in zip(curve.t0z, curve.t0x):
         s_values = analytic_norm_constants(t0x, t0z)
         idx = best_regime(s_values)
-        t_max = s_values[idx] * _VISIBILITY_PER_S
+        t_max = s_values[idx] * VISIBILITY_PER_S
         diag = np.array([t0x, t0x, t0z])
         q = np.linalg.norm(rotated[idx] * diag, axis=1)
         q /= q.sum()
@@ -188,54 +175,39 @@ def zero_entanglement_interval(points: list[AxialPoint],
     return best
 
 
-def _crossover_bisect(gap, lo: float, hi: float, resolution: float) -> float:
-    if not (gap(lo) > 0 > gap(hi)):
+def _regime_crossover(first: int, second: int, lo: float, hi: float,
+                      tol: float) -> float:
+    """The t0z in (lo, hi) on the boundary where regime ``second`` overtakes
+    regime ``first``, bisected until the bracket closes."""
+
+    def gap(t0z: float) -> float:
+        s_values = analytic_norm_constants(axial_boundary_solve(t0z, tol=tol), t0z)
+        return s_values[second] - s_values[first]
+
+    if not gap(lo) < 0 < gap(hi):
         raise RuntimeError(f"crossover bracket ({lo}, {hi}) failed")
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(gap, lo, hi)
 
 
-def vertex_face_crossover(tol: float = SOLVER_TOL,
-                          quad: SphereQuadrature | None = None,
-                          resolution: float = CROSSOVER_RESOLUTION) -> float:
+def vertex_face_crossover(tol: float = SOLVER_TOL) -> float:
     """The t0z on the boundary where the vertex and face maxima exchange.
 
     All three constants coincide at the isotropic point, so this lands
-    at 1/2 up to the requested resolution.
+    at 1/2 up to the solver tolerance.
     """
-
-    def gap(t0z: float) -> float:
-        t0x = axial_boundary_solve(t0z, tol=tol, quad=quad)
-        s_vertex, s_face, _ = analytic_norm_constants(t0x, t0z)
-        return s_vertex - s_face
-
-    return _crossover_bisect(gap, 0.3, 0.7, resolution)
+    return _regime_crossover(0, 1, 0.3, 0.7, tol)
 
 
-def face_edge_crossover(tol: float = SOLVER_TOL,
-                        quad: SphereQuadrature | None = None,
-                        resolution: float = CROSSOVER_RESOLUTION) -> float:
+def face_edge_crossover(tol: float = SOLVER_TOL) -> float:
     """The t0z on the boundary where the face and edge maxima exchange."""
-
-    def gap(t0z: float) -> float:
-        t0x = axial_boundary_solve(t0z, tol=tol, quad=quad)
-        _, s_face, s_edge = analytic_norm_constants(t0x, t0z)
-        return s_face - s_edge
-
-    return _crossover_bisect(gap, 0.6, 0.98, resolution)
+    return _regime_crossover(1, 2, 0.6, 0.98, tol)
 
 
-def werner_reference(tol: float = SOLVER_TOL,
-                     quad: SphereQuadrature | None = None) -> dict:
+def werner_reference(tol: float = SOLVER_TOL) -> dict:
     """Visibility, entropy, and concurrence at the isotropic boundary point,
     computed through the same pipeline as the scan."""
     t0z = 0.5
-    t0x = axial_boundary_solve(t0z, tol=tol, quad=quad)
+    t0x = axial_boundary_solve(t0z, tol=tol)
     s_values = analytic_norm_constants(t0x, t0z)
     idx = best_regime(s_values)
     model = build_icosahedron_model(DiagMat3(t0x, t0x, t0z),
@@ -259,13 +231,12 @@ def scan_csv(points: list[AxialPoint]) -> str:
     return serialize.csv_text(header, rows)
 
 
-def scan_summary(points: list[AxialPoint], tol: float = SOLVER_TOL,
-                 quad: SphereQuadrature | None = None) -> dict:
+def scan_summary(points: list[AxialPoint], tol: float = SOLVER_TOL) -> dict:
     interval = zero_entanglement_interval(points)
     return {
         "min_entropy_bits": min(p.entropy_bits for p in points),
-        "regime_crossovers": [vertex_face_crossover(tol=tol, quad=quad),
-                              face_edge_crossover(tol=tol, quad=quad)],
+        "regime_crossovers": [vertex_face_crossover(tol=tol),
+                              face_edge_crossover(tol=tol)],
         "zero_entanglement_interval": list(interval) if interval else None,
-        "werner_refs": werner_reference(tol=tol, quad=quad),
+        "werner_refs": werner_reference(tol=tol),
     }

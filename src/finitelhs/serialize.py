@@ -22,6 +22,9 @@ def format_float(value: float, digits: int = JSON_FLOAT_DIGITS) -> str:
     value = float(value)
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"non-finite value cannot be serialized: {value!r}")
+    if value == 0.0:
+        # "-0" would read back as the integer 0 and re-emit as "0"
+        return "0"
     return format(value, f".{digits}g")
 
 

@@ -17,7 +17,6 @@ from finitelhs.belldecomp import (
     schmidt_residual,
 )
 from finitelhs.boundary import (
-    DEFAULT_QUADRATURE,
     axial_boundary_solve,
     norm_integral,
     sample_axial_family,
@@ -50,6 +49,8 @@ from finitelhs.scanopt import (
     scan_axial_family,
     zero_entanglement_interval,
 )
+
+from sphere_quadrature import DEFAULT_QUADRATURE, quadrature_norm_integral
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 VISIBILITY_PER_S = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 12.0
@@ -197,10 +198,15 @@ def test_criterion_07_boundary_integral():
     nodes, weights = DEFAULT_QUADRATURE.nodes, DEFAULT_QUADRATURE.weights
     moments = np.einsum("k,ki,kj->ij", weights, nodes, nodes)
     moment_err = np.abs(moments - (4.0 * np.pi / 3.0) * np.eye(3)).max()
+    # the closed form against the product-rule oracle, on and off the axial family
+    diags = [(0.5, 0.5, 0.2), (0.3, 0.3, 0.9), (-0.4, 0.2, 0.7), (0.15, -0.6, -0.3)]
+    oracle_err = max(abs(norm_integral(DiagMat3(*d)) - quadrature_norm_integral(d))
+                     for d in diags)
     ok = (n_err < 1e-10 and mid_err < 1e-9 and small_err < 1e-6
-          and moment_err < 1e-10)
+          and moment_err < 1e-10 and oracle_err < 1e-10)
     report(7, ok, f"|N-1| {n_err:.1e}, solve(1/2) err {mid_err:.1e}, "
-                  f"solve(1e-3)-2/pi {small_err:.1e}, moments {moment_err:.1e}")
+                  f"solve(1e-3)-2/pi {small_err:.1e}, moments {moment_err:.1e}, "
+                  f"oracle {oracle_err:.1e}")
 
 
 def test_criterion_08_decomposition():

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from finitelhs.boundary import (
     BoundaryCurve,
-    DEFAULT_QUADRATURE,
     axial_boundary_solve,
+    bisect,
     boundary_csv,
     norm_integral,
-    product_quadrature,
     sample_axial_family,
 )
 from finitelhs.qstate import DiagMat3
+
+from conftest import BELL_CORNERS
+from sphere_quadrature import DEFAULT_QUADRATURE, product_quadrature, quadrature_norm_integral
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 
@@ -145,9 +149,63 @@ def test_custom_quadrature_orders():
     assert len(quad.weights) == 2 * 16 * 32
     assert quad.weights.sum() == pytest.approx(4 * np.pi, abs=1e-9)
     # coarse quadrature still nails the isotropic case
-    assert norm_integral(DiagMat3(0.5, 0.5, 0.5), quad) == pytest.approx(1.0, abs=1e-12)
+    assert quadrature_norm_integral((0.5, 0.5, 0.5), quad) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_boundary_curve_type():
     curve = BoundaryCurve(np.array([0.5]), np.array([0.5]))
     assert len(curve) == 1
+
+
+def test_bisect_closes_the_bracket():
+    root = bisect(lambda x: x * x - 2.0, 1.0, 2.0)
+    assert abs(root - np.sqrt(2.0)) <= 2.3e-16
+    # stops at the first midpoint within tol of a root
+    assert bisect(lambda x: x - 0.75, 0.0, 1.0, tol=0.3) == 0.5
+
+
+# hypothesis draws: Bell weights on the simplex give physical diagonals
+_bell_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: sum(w) > 1e-3)
+_oracle_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _physical(weights) -> np.ndarray:
+    w = np.asarray(weights) / sum(weights)
+    return w @ BELL_CORNERS
+
+
+@_oracle_settings
+@given(a=st.floats(0.0, 1.0), z=st.floats(0.0, 1.0))
+def test_norm_integral_matches_oracle_on_axial_diagonals(a, z):
+    assert abs(norm_integral(DiagMat3(a, a, z)) - quadrature_norm_integral((a, a, z))) <= 1e-12
+
+
+# The azimuthal trapezoid rule resolves the near-kink of a dominant x or y
+# entry poorly: the 64 x 128 rule is off by up to 6e-10 at the edges of the
+# physical set, this one by under 1e-14.
+_FINE_QUADRATURE = product_quadrature(128, 256)
+
+
+@_oracle_settings
+@given(weights=_bell_weights)
+def test_norm_integral_matches_oracle_on_physical_diagonals(weights):
+    d = _physical(weights)
+    # near a zero entry the product rule itself loses digits
+    assume(np.abs(d).min() >= 0.1)
+    oracle = quadrature_norm_integral(d, _FINE_QUADRATURE)
+    assert abs(norm_integral(DiagMat3(*d)) - oracle) <= 1e-10
+
+
+@settings(deadline=None, derandomize=True)
+@given(d=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+       perm=st.permutations([0, 1, 2]),
+       alpha=st.floats(0.0, 4.0))
+def test_norm_integral_sign_permutation_scale_invariance(d, signs, perm, alpha):
+    d = np.asarray(d)
+    base = norm_integral(DiagMat3(*d))
+    assert norm_integral(DiagMat3(*(d * signs))) == base
+    assert norm_integral(DiagMat3(*d[perm])) == pytest.approx(base, rel=1e-14, abs=1e-15)
+    assert norm_integral(DiagMat3(*(alpha * d))) == pytest.approx(alpha * base, rel=1e-14,
+                                                                  abs=1e-15)

@@ -124,14 +124,22 @@ def test_model_poly_octahedron(capsys):
     assert doc["residuals"]["max_bloch_err"] < 1e-10
 
 
-def test_model_poly_octahedron_rejects_generic_rotation(capsys):
-    """Rotating the octahedron perturbs the exact zero dot products between
-    orthogonal vertices, so the sign-sum identity genuinely fails there."""
-    code, _, err = run(capsys, ["model", "poly", "--poly", "octahedron",
-                                "--t0", "-0.4", "-0.4", "-0.4",
-                                "--orientation", "random", "--seed", "1"])
+def test_model_poly_octahedron_every_orientation(capsys):
+    """Rotating the octahedron leaves ~1e-17 dot products between orthogonal
+    vertices; the sign-sum identity must still hold."""
+    for orientation in ("vertex", "face", "edge", "random"):
+        code, out, _ = run(capsys, ["model", "poly", "--poly", "octahedron",
+                                    "--t0", "0.3", "0.3", "0.3",
+                                    "--orientation", orientation, "--seed", "1"])
+        assert code == 0, orientation
+        assert serialize.loads(out)["residuals"]["max_bloch_err"] < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_model_rejects_non_finite_target(capsys):
+    code, _, err = run(capsys, ["model", "icosa", "--t0", "inf", "0.5", "0.5"])
     assert code == 2
-    assert "sign-sums" in err
+    assert "finite" in err
 
 
 def test_model_tetra(capsys):
@@ -179,7 +187,7 @@ def test_boundary_validate_and_meta(capsys, tmp_path):
     meta = serialize.loads((tmp_path / "curve.csv.meta.json").read_text())
     assert meta["subcommand"] == "boundary"
     assert meta["n"] == 8
-    assert meta["quadrature"] == {"n_polar": 64, "n_azimuth": 128}
+    assert meta["integral"] == "carlson_rg"
 
 
 def test_boundary_usage_error(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finitelhs.geometry import (
+    Rotation,
     convex_decompose,
     cube,
     decompose_directions,
@@ -125,6 +126,19 @@ def test_generic_polyhedron_models_verify(maker, rng):
     state = TState(target.scaled(model.visibility))
     report = verify_model(model, state, random_unit_vectors(rng, 500))
     assert report.max_residual < 1e-10
+
+
+@pytest.mark.parametrize("maker", [icosahedron, cube, octahedron])
+def test_solids_verify_at_every_orientation(maker):
+    """Orthogonal octahedron vertices leave ~1e-17 dot products after a
+    rotation; their signs must read as 0, not as rounding noise."""
+    target = DiagMat3(-0.5, -0.4, -0.3)
+    rotations = [Rotation.identity(), *special_orientations()]
+    rotations += [random_rotation(np.random.default_rng(seed)) for seed in range(5)]
+    for rot in rotations:
+        model = build_polyhedron_model(target, maker(rot))
+        report = verify_model(model, model.simulated_state())
+        assert report.max_residual < 1e-10
 
 
 def test_generic_rejects_unsupported_polyhedron():
@@ -313,6 +327,13 @@ def test_serialization_roundtrip(rng):
     state = model.simulated_state()
     report = verify_model(clone, state, random_unit_vectors(rng, 200))
     assert report.max_residual < 1e-10
+
+
+@pytest.mark.parametrize("idx", range(3))
+def test_serialization_text_roundtrip_is_exact(idx):
+    """Exact-zero Bloch components with a negative target entry are -0.0."""
+    text = model_to_json(build_icosahedron_model(WERNER, special_orientations()[idx]))
+    assert model_to_json(model_from_json(text)) == text
 
 
 def test_serialization_roundtrip_linear():

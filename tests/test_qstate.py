@@ -177,3 +177,11 @@ def test_diagmat3_helpers():
     assert d.abs().as_array() == pytest.approx([0.3, 0.0, 0.5])
     assert d.scaled(2.0).as_array() == pytest.approx([-0.6, 0.0, 1.0])
     assert not DiagMat3(0.1, 0.1, 0.1).is_singular
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_diagmat3_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DiagMat3(0.2, bad, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        DiagMat3.from_array([bad, 0.1, 0.1])

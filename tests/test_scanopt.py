@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import elliprg
 
 from finitelhs.boundary import axial_boundary_solve
 from finitelhs.geometry import (
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
+    icosahedron,
     random_rotation,
     special_orientations,
 )
@@ -190,13 +193,31 @@ def test_zero_entanglement_interval_none_when_all_entangled():
 
 
 def test_vertex_face_crossover_is_the_isotropic_point():
-    assert vertex_face_crossover() == pytest.approx(0.5, abs=2e-6)
+    assert vertex_face_crossover() == pytest.approx(0.5, abs=1e-9)
 
 
 def test_face_edge_crossover_location():
     t0z = face_edge_crossover()
     assert 0.86 < t0z < 0.92
     assert t0z == pytest.approx(0.8906291, abs=1e-5)
+
+
+def test_face_edge_crossover_matches_nested_root():
+    """Against brentq on 2 R_G for the boundary and on explicit vertex sums
+    for the regimes, sharing no code with the bisection."""
+    _, face, edge = (icosahedron(rot).vertices for rot in special_orientations())
+
+    def boundary_t0x(t0z):
+        return brentq(lambda a: 2.0 * elliprg(a * a, a * a, t0z * t0z) - 1.0,
+                      1e-6, 1.5, xtol=1e-15, rtol=8.9e-16)
+
+    def gap(t0z):
+        diag = np.array([boundary_t0x(t0z), boundary_t0x(t0z), t0z])
+        return (np.linalg.norm(face * diag, axis=1).sum()
+                - np.linalg.norm(edge * diag, axis=1).sum())
+
+    root = brentq(gap, 0.6, 0.98, xtol=1e-15, rtol=8.9e-16)
+    assert face_edge_crossover() == pytest.approx(root, abs=1e-9)
 
 
 def test_werner_reference_values():

@@ -17,6 +17,11 @@ def test_format_float_15_digits_truncates():
     assert s == "0.333333333333333"
 
 
+def test_format_float_writes_negative_zero_as_zero():
+    assert serialize.format_float(-0.0) == "0"
+    assert serialize.dumps([-0.0, 0.0]) == "[\n  0,\n  0\n]\n"
+
+
 def test_format_float_rejects_non_finite():
     with pytest.raises(ValueError):
         serialize.format_float(float("nan"))
