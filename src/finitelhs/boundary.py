@@ -15,7 +15,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import elliprg
 
 from . import serialize
 from .qstate import DiagMat3
@@ -23,6 +22,16 @@ from .qstate import DiagMat3
 SOLVER_TOL = 1e-10
 BRACKET = (1e-6, 1.5)
 DEFAULT_T0Z_MIN = 0.02
+
+
+def _elliprg(x: float, y: float, z: float) -> float:
+    """Carlson's R_G.  The first call imports scipy.special, which only the
+    boundary needs, and rebinds this name to ``scipy.special.elliprg``."""
+    global _elliprg
+    from scipy.special import elliprg
+
+    _elliprg = elliprg
+    return elliprg(x, y, z)
 
 
 def norm_integral(corr: DiagMat3) -> float:
@@ -34,7 +43,7 @@ def norm_integral(corr: DiagMat3) -> float:
     if scale == 0.0:
         return 0.0
     x, y, z = corr.dx / scale, corr.dy / scale, corr.dz / scale
-    return 2.0 * scale * float(elliprg(x * x, y * y, z * z))
+    return 2.0 * scale * float(_elliprg(x * x, y * y, z * z))
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 0.0) -> float:

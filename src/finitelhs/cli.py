@@ -53,7 +53,7 @@ from .lhsmodel import (
     model_to_dict,
     verify_model,
 )
-from .qstate import DiagMat3
+from .qstate import DiagMat3, max_physical_visibility
 from .scanopt import (
     REGIMES,
     VISIBILITY_PER_S,
@@ -136,6 +136,12 @@ def cmd_model(args: argparse.Namespace) -> int:
             "t": model.visibility,
         }
         config.update(echo)
+    t_phys = max_physical_visibility(model.target)
+    if model.visibility > t_phys:
+        raise ValueError(
+            f"visibility t = {model.visibility:.6g} (t_max = {t_max:.6g}) gives an unphysical "
+            f"state along T0; the largest physical visibility is {t_phys:.6g}"
+        )
     config["directions"] = args.directions
     config["direction_seed"] = args.seed
     config["residual_gate"] = RESIDUAL_GATE

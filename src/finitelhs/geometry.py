@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .qstate import UNIT_TOL, as_unit_vector
 
@@ -20,6 +19,12 @@ ICOSAHEDRON_SIGN_SUM = 2.0 * (1.0 + np.sqrt(5.0))
 # |v . w| at or below this counts as orthogonal: rotated solids leave
 # ~1e-17 of rounding noise where the exact dot product is 0.
 SIGN_TOL = 1e-12
+
+# A vertex within this distance of a plane through three vertices lies on it.
+# Unit vectors whose dot product reaches 1 - HULL_TOL, i.e. closer than
+# sqrt(2 HULL_TOL) ~ 1.4e-5, are one duplicated vertex: at this tolerance
+# the hull cannot tell them apart.
+HULL_TOL = 1e-10
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -137,21 +142,86 @@ class Polyhedron:
         return bool(np.all(dists.min(axis=1) <= 1e-9))
 
 
+def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Row-wise e x f of (m, 3) arrays, the arithmetic of np.cross at a
+    fraction of its call overhead."""
+    ee, ff = np.concatenate((e, e), axis=1), np.concatenate((f, f), axis=1)
+    return ee[:, 1:4] * ff[:, 2:5] - ee[:, 2:5] * ff[:, 1:4]
+
+
+@lru_cache(maxsize=32)
+def _triples(n: int) -> np.ndarray:
+    """All index triples i < j < k below n, in lexicographic order (read-only)."""
+    r = np.arange(n)
+    t = np.stack(np.nonzero((r[:, None, None] < r[None, :, None])
+                            & (r[None, :, None] < r[None, None, :])), axis=1)
+    t.setflags(write=False)
+    return t
+
+
 def polyhedron_from_vertices(vertices, kind: str = "custom") -> Polyhedron:
+    """The convex hull of unit vectors, triangulated into 2n - 4 outward
+    (counter-clockwise seen from outside) faces.
+
+    On the sphere every distinct point is a vertex of the hull, and a triple
+    spans a facet exactly when no other point lies beyond its plane.  A
+    facet with m > 3 vertices (a cube's square) is split into the m - 2
+    triangles of a fan from its lowest-index vertex.  Raises ValueError for
+    duplicated points or when the origin is not strictly inside the hull.
+    """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or len(v) < 4:
         raise ValueError(f"need at least 4 vertices of shape (n, 3), got {v.shape}")
     norms = np.linalg.norm(v, axis=1)
     if np.abs(norms - 1.0).max() > UNIT_TOL:
         raise ValueError("all vertices must lie on the unit sphere")
-    hull = ConvexHull(v)
-    if len(hull.vertices) != len(v):
-        raise ValueError("vertices must be in convex position")
-    faces = np.array(hull.simplices, dtype=int)
-    corners = v[faces]
-    n = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    d = np.abs(np.einsum("fi,fi->f", n, corners[:, 0])) / np.linalg.norm(n, axis=1)
-    return Polyhedron(vertices=v, faces=faces, inradius=float(d.min()), kind=kind)
+    n = len(v)
+    dots = v @ v.T
+    np.fill_diagonal(dots, -1.0)
+    if dots.max() >= 1.0 - HULL_TOL:
+        raise ValueError("vertices must be in convex position: a vertex is duplicated")
+
+    triples = _triples(n)
+    corners = v[triples]                           # (T, 3, 3)
+    a = corners[:, 0]
+    normal = _cross(corners[:, 1] - a, corners[:, 2] - a)
+    scale = np.linalg.norm(normal, axis=1)
+    offset = np.einsum("ti,ti->t", normal, a) / scale
+    normal /= scale[:, None]
+    height = v @ normal.T - offset                 # (n, T)
+    inside = height.max(axis=0) <= HULL_TOL
+    outside = height.min(axis=0) >= -HULL_TOL
+    facet = inside | outside
+    flip = outside & ~inside                       # the normal points inwards
+    offset[flip] *= -1.0
+    inradius = float(offset[facet].min())
+    if inradius <= HULL_TOL:
+        raise ValueError(
+            f"the origin is not strictly inside the hull of the vertices "
+            f"(nearest face plane at {inradius:.3e})"
+        )
+
+    # A facet with m > 3 vertices is spanned by all C(m, 3) of its triples;
+    # keep the fan from its lowest vertex i: the triples (i, j, k) whose
+    # chord jk has every vertex of the facet on one side.
+    on_plane = np.abs(height) <= HULL_TOL
+    keep = facet & (on_plane.sum(axis=0) == 3)
+    polygon = np.nonzero(facet & ~keep)[0]
+    if len(polygon):
+        i, j, k = triples[polygon].T
+        r = np.arange(n)[:, None]
+        lowest = ~(on_plane[:, polygon] & (r < i)).any(axis=0)
+        w = _cross(normal[polygon], v[k] - v[j])
+        side = np.where(on_plane[:, polygon], v @ w.T - np.einsum("ti,ti->t", w, v[j]), 0.0)
+        chord = (side.min(axis=0) >= -HULL_TOL) | (side.max(axis=0) <= HULL_TOL)
+        keep[polygon[lowest & chord]] = True
+    faces = np.where(flip[keep, None], triples[keep][:, [0, 2, 1]], triples[keep])
+    if len(faces) != 2 * n - 4:
+        raise ValueError(
+            f"degenerate vertex set: {len(faces)} hull triangles for {n} vertices, "
+            f"expected {2 * n - 4}"
+        )
+    return Polyhedron(vertices=v, faces=faces, inradius=inradius, kind=kind)
 
 
 def icosahedron(orientation: Rotation | None = None) -> Polyhedron:
@@ -296,7 +366,8 @@ def special_orientations() -> tuple[Rotation, Rotation, Rotation]:
     partner = ico.vertices[int(np.argsort(ico.vertices @ v0)[-2])]
     edge_mid = v0 + partner
     edge_mid /= np.linalg.norm(edge_mid)
-    center = ico.vertices[ico.faces[0]].mean(axis=0)
+    # the face of vertex 0 with its neighbours 7 and 5, summed in this order
+    center = ico.vertices[[7, 0, 5]].mean(axis=0)
     center /= np.linalg.norm(center)
     return rotation_to_z(v0), rotation_to_z(center), rotation_to_z(edge_mid)
 

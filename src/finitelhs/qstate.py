@@ -70,6 +70,16 @@ class DiagMat3:
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
+# Correlation diagonals of the four Bell states: Bell weight k of the state
+# with diagonal d is (1 + BELL_CORNERS[k] . d) / 4.
+BELL_CORNERS = np.array([
+    [1.0, -1.0, 1.0],
+    [-1.0, 1.0, 1.0],
+    [1.0, 1.0, -1.0],
+    [-1.0, -1.0, -1.0],
+])
+
+
 def bell_weights_of_diag(diag: np.ndarray) -> np.ndarray:
     """Eigenvalues of the state with correlation diagonal ``diag``.
 
@@ -99,6 +109,16 @@ class TState:
                 f"({self.corr.dx}, {self.corr.dy}, {self.corr.dz}) is not physical: "
                 f"minimum Bell weight {weights.min():.3e}"
             )
+
+
+def max_physical_visibility(corr: DiagMat3) -> float:
+    """The largest t >= 0 for which TState(t * corr) is physical.
+
+    Bell weight k of t * corr is (1 + t c_k . d) / 4, so t can grow until
+    the most negative c_k . d brings a weight down to -PHYSICALITY_TOL.
+    """
+    slope = -float((BELL_CORNERS @ corr.as_array()).min())
+    return math.inf if slope <= 0.0 else (1.0 + 4.0 * PHYSICALITY_TOL) / slope
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,0 +1,30 @@
+"""scipy's Qhull: an oracle for the numpy hull in
+``geometry.polyhedron_from_vertices``, independent of its facet test."""
+
+import numpy as np
+from scipy.spatial import ConvexHull
+
+PLANE_TOL = 1e-9
+
+
+def hull_facets(vertices) -> list[tuple[np.ndarray, float, float]]:
+    """(outward unit normal, offset, area) of each distinct facet plane.
+
+    Qhull splits a facet with more than three vertices into triangles that
+    share its plane; those are merged here and their areas summed.
+    """
+    v = np.asarray(vertices, dtype=float)
+    hull = ConvexHull(v)
+    corners = v[hull.simplices]
+    areas = 0.5 * np.linalg.norm(
+        np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1)
+    facets: list[list] = []
+    for eq, area in zip(hull.equations, areas):
+        normal, offset = eq[:3], -eq[3]
+        for facet in facets:
+            if np.abs(facet[0] - normal).max() <= PLANE_TOL and abs(facet[1] - offset) <= PLANE_TOL:
+                facet[2] += area
+                break
+        else:
+            facets.append([normal, offset, area])
+    return [(n, float(d), float(a)) for n, d, a in facets]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import finitelhs
 from finitelhs import serialize
 from finitelhs.cli import main
 from finitelhs.geometry import ICOSAHEDRON_INRADIUS, ICOSAHEDRON_SIGN_SUM
@@ -303,6 +309,78 @@ def test_verify_flags_inconsistent_model(capsys, tmp_path):
     vdoc = serialize.loads(out)
     assert vdoc["residuals"]["max_bloch_err"] == pytest.approx(
         0.25 * (WERNER_T_MAX - 0.5), abs=1e-9)
+
+
+def test_model_unphysical_max_visibility_exits_2(capsys):
+    """t_max of T0 = (0.9, 0.9, 0.9) is 0.4762, past the last physical
+    visibility 1 / 2.7 along T0; the error names both."""
+    code, out, err = run(capsys, ["model", "icosa", "--t0", "0.9", "0.9", "0.9"])
+    assert code == 2
+    assert out == ""
+    assert "t_max = 0.476214" in err
+    assert "largest physical visibility is 0.37037" in err
+    assert len(err.splitlines()) == 1
+    code, out, _ = run(capsys, ["model", "icosa", "--t0", "0.9", "0.9", "0.9", "--t", "0.37"])
+    assert code == 0
+    assert serialize.loads(out)["residuals"]["max_bloch_err"] < 1e-10
+
+
+def test_verify_degenerate_preimages_exit_2(capsys, tmp_path):
+    """A sign-mixture model whose preimages span no solid around the origin
+    is a domain error (exit 2, one line), not a failed verification."""
+    angles = np.arange(6) * np.pi / 3
+    circle = np.stack([np.cos(angles), np.sin(angles), np.zeros(6)], axis=1)
+    coplanar = {"t0": [0.5, 0.5, 0.5], "t": 0.5, "response_kind": "sign_mixture",
+                "scale": 1.0, "atoms": [{"q": 1 / 6, "lambda": list(p), "lambda_prime": list(p)}
+                                        for p in circle]}
+    path = tmp_path / "m.json"
+    code, _, _ = run(capsys, ["model", "icosa", *WERNER_ARGS, "--out", str(path)])
+    assert code == 0
+    duplicated = serialize.loads(path.read_text())
+    atom = duplicated["atoms"][0]
+    atom["q"] /= 2.0
+    duplicated["atoms"].append(dict(atom))
+    for doc, reason in ((coplanar, "origin"), (duplicated, "duplicated")):
+        path.write_text(serialize.dumps(doc))
+        code, out, err = run(capsys, ["verify", "--model", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and reason in err
+        assert len(err.splitlines()) == 1
+
+
+def test_cli_imports_scipy_only_for_the_boundary(tmp_path):
+    """Importing the CLI and running model, verify, decompose and optimize
+    loads no scipy module; boundary loads scipy.special and nothing else
+    of scipy's subpackages."""
+    script = f"""
+import sys
+from finitelhs import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+out = {str(tmp_path)!r}
+assert cli.main(["model", "icosa", "--t0", "-1", "-1", "-1", "--orientation", "face",
+                 "--out", out + "/m.json", "--report", out + "/r.json"]) == 0
+assert cli.main(["verify", "--model", out + "/m.json", "--out", out + "/v.json"]) == 0
+assert cli.main(["decompose", "--out", out + "/d.json"]) == 0
+assert cli.main(["optimize", "--t0", "0.3", "-0.4", "0.5", "--n", "100",
+                 "--out", out + "/o.json"]) == 0
+assert not scipy_modules(), scipy_modules()
+assert cli.main(["boundary", "--n", "3", "--out", out + "/b.csv"]) == 0
+subpackages = {{".".join(m.split(".")[:2]) for m in scipy_modules()}}
+assert "scipy.special" in subpackages, subpackages
+extra = subpackages - {{"scipy", "scipy.version", "scipy.special"}}
+assert all(m.startswith("scipy._") for m in extra), extra
+"""
+    src = str(Path(finitelhs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_model_out_dash_streams_model(capsys, tmp_path):

@@ -1,5 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
 from finitelhs.geometry import (
     GOLDEN_RATIO,
@@ -22,6 +27,7 @@ from finitelhs.geometry import (
 )
 
 from conftest import random_unit_vectors
+from convex_hull_oracle import PLANE_TOL, hull_facets
 
 
 def test_icosahedron_basic_shape():
@@ -178,6 +184,16 @@ def test_rotation_to_z_cases(rng):
                        [0, 0, 1], atol=1e-12)
 
 
+def test_special_orientations_are_pinned():
+    """The special quaternions, and with them every ``--orientation
+    vertex|face|edge`` artifact, do not depend on the hull's face order."""
+    assert [r.quat.tolist() for r in special_orientations()] == [
+        [0.9619383577839176, 0.2732665289126717, 0.0, 0.0],
+        [0.8880738339771151, 0.32505758367186816, 0.32505758367186816, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+    ]
+
+
 def test_special_orientations_alignment():
     z = np.array([0.0, 0.0, 1.0])
     vertex_rot, face_rot, edge_rot = special_orientations()
@@ -228,8 +244,95 @@ def test_polyhedron_from_vertices_validation():
     with pytest.raises(ValueError):
         polyhedron_from_vertices(np.eye(3))  # fewer than four vertices
     dup = np.vstack([tetrahedron().vertices, tetrahedron().vertices[:1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicated"):
         polyhedron_from_vertices(dup)
+    angles = np.arange(6) * np.pi / 3
+    great_circle = np.stack([np.cos(angles), np.sin(angles), np.zeros(6)], axis=1)
+    with pytest.raises(ValueError, match="origin"):
+        polyhedron_from_vertices(great_circle)
+    hemisphere = np.vstack([great_circle[:3], [[0.0, 0.0, 1.0]]])
+    with pytest.raises(ValueError, match="origin"):
+        polyhedron_from_vertices(hemisphere)
+
+
+def assert_hull_matches_oracle(v):
+    """Same facet planes as Qhull, 2n - 4 outward triangles, and the
+    triangles on each plane tile its facet without overlap."""
+    p = polyhedron_from_vertices(v)
+    assert len(p.faces) == 2 * len(v) - 4
+    corners = p.vertices[p.faces]
+    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    normals = cross / (2.0 * areas[:, None])
+    offsets = np.einsum("fi,fi->f", normals, corners[:, 0])
+    assert offsets.min() > 0.0      # counter-clockwise seen from outside
+    assert p.inradius == pytest.approx(offsets.min(), abs=1e-12)
+    matched = np.zeros(len(p.faces), dtype=bool)
+    for normal, offset, area in hull_facets(v):
+        on = ((np.abs(normals - normal).max(axis=1) <= PLANE_TOL)
+              & (np.abs(offsets - offset) <= PLANE_TOL))
+        assert areas[on].sum() == pytest.approx(area, abs=1e-12)
+        matched |= on
+    assert matched.all()
+
+
+@pytest.mark.parametrize("vertices", [
+    tetrahedron().vertices,
+    cube().vertices,
+    octahedron().vertices,
+    icosahedron().vertices,
+    np.vstack([cube().vertices, octahedron().vertices]),
+], ids=["tetrahedron", "cube", "octahedron", "icosahedron", "cube+octahedron"])
+def test_hull_matches_qhull_on_solids(vertices):
+    assert_hull_matches_oracle(vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([cube, octahedron, icosahedron]),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+def test_hull_matches_qhull_on_rotated_solids(solid, quat):
+    assume(np.linalg.norm(quat) > 0.1)
+    assert_hull_matches_oracle(solid(Rotation.from_quat(quat)).vertices)
+
+
+def _in_general_position(v) -> bool:
+    """Vertices at least 1e-3 apart, each within 1e-12 of a plane through
+    three others or at least 1e-6 off it: no tolerance decides the hull."""
+    gaps = np.linalg.norm(v[:, None] - v[None], axis=2) + 2.0 * np.eye(len(v))
+    if gaps.min() < 1e-3:
+        return False
+    i, j, k = np.array(list(combinations(range(len(v)), 3))).T
+    normal = np.cross(v[j] - v[i], v[k] - v[i])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    height = np.abs(v @ normal.T - np.einsum("ti,ti->t", normal, v[i]))
+    return not ((height > 1e-12) & (height < 1e-6)).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=2, max_size=20),
+       st.booleans())
+def test_hull_matches_qhull_on_random_points(points, symmetric):
+    """4 to 20 unit vectors; with ``symmetric``, up to ten of them and their
+    antipodes, an inversion-symmetric set like the model solids."""
+    raw = np.array(points)
+    if symmetric:
+        raw = np.vstack([raw[:10], -raw[:10]])
+    assume(len(raw) >= 4)
+    norms = np.linalg.norm(raw, axis=1)
+    assume(norms.min() > 1e-3)
+    v = raw / norms[:, None]
+    assume(_in_general_position(v))
+    try:
+        depth = min(offset for _, offset, _ in hull_facets(v))
+    except QhullError:          # all points on one plane
+        depth = 0.0
+    assume(not 1e-12 < depth < 1e-6)
+    event("origin outside" if depth <= 1e-12 else "origin inside")
+    if depth <= 1e-12:
+        with pytest.raises(ValueError, match="origin"):
+            polyhedron_from_vertices(v)
+    else:
+        assert_hull_matches_oracle(v)
 
 
 def test_fibonacci_sphere():

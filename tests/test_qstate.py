@@ -11,9 +11,10 @@ from finitelhs.qstate import (
     bell_weights,
     concurrence_axial,
     is_on_separable_boundary,
+    max_physical_visibility,
 )
 
-from conftest import as_diag, random_axial_physical_diag, random_physical_diag, random_unit_vectors
+from conftest import BELL_CORNERS, as_diag, random_axial_physical_diag, random_physical_diag, random_unit_vectors
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 
@@ -112,6 +113,21 @@ def test_physicality_boundary_is_weight_zero_crossing(rng):
         TState(as_diag(d * u_star))
         with pytest.raises(ValueError):
             TState(as_diag(d * u_star * (1 + 1e-6)))
+
+
+def test_max_physical_visibility_is_the_tstate_limit(rng):
+    """TState accepts t * d up to max_physical_visibility(d) and rejects it
+    just beyond; the limit is 1 / max_k(-c_k . d) over the Bell corners."""
+    for row in random_physical_diag(rng, 50):
+        d = as_diag(row)
+        t_phys = max_physical_visibility(d)
+        assert t_phys == pytest.approx(1.0 / (-(BELL_CORNERS @ row)).max(), rel=1e-11)
+        TState(d.scaled(t_phys * (1 - 1e-9)))
+        with pytest.raises(ValueError):
+            TState(d.scaled(t_phys * (1 + 1e-9)))
+    assert max_physical_visibility(DiagMat3(0.9, 0.9, 0.9)) == pytest.approx(1 / 2.7)
+    assert max_physical_visibility(WERNER) == pytest.approx(1.0 / 0.5)
+    assert max_physical_visibility(DiagMat3(0.0, 0.0, 0.0)) == np.inf
 
 
 def test_concurrence_axial_werner_full_visibility():
