@@ -66,10 +66,12 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 0.0) 
 
 
 def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL) -> float:
-    """The t0x with norm_integral(diag(t0x, t0x, t0z)) = 1, by bisection.
+    """The t0x > 0 with norm_integral(diag(t0x, t0x, t0z)) = 1, by bisection.
 
-    At t0z = 1 the root degenerates to 0+; the lower bracket end is
-    returned there since the integral already sits within tol of 1.
+    At t0z = 1 the root degenerates to 0+, and the integral at the lower
+    bracket end exceeds 1 by 1.45e-11.  That end is returned when tol
+    allows; otherwise the root is bisected between 0, where the integral
+    equals t0z, and that end.
     """
     if not (0.0 < t0z <= 1.0):
         raise ValueError(f"t0z must lie in (0, 1], got {t0z!r}")
@@ -84,6 +86,8 @@ def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL) -> float:
     if f_lo > 0:
         if f_lo <= tol:
             return lo
+        if residual(0.0) <= 0:
+            return bisect(residual, 0.0, lo, tol)
         raise ValueError(f"no boundary crossing above t0x = {lo} for t0z = {t0z}")
     if residual(hi) < 0:
         raise ValueError(f"no boundary crossing below t0x = {hi} for t0z = {t0z}")

@@ -46,6 +46,7 @@ from .geometry import (
     special_orientations,
 )
 from .lhsmodel import (
+    FiniteLhsModel,
     build_polyhedron_model,
     build_separable_tetrahedron_model,
     entropy_bits,
@@ -53,7 +54,7 @@ from .lhsmodel import (
     model_to_dict,
     verify_model,
 )
-from .qstate import DiagMat3, max_physical_visibility
+from .qstate import DiagMat3, TState, max_physical_visibility
 from .scanopt import (
     REGIMES,
     VISIBILITY_PER_S,
@@ -87,6 +88,19 @@ def _random_directions(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 3))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _simulated_state(model: FiniteLhsModel, cap: str = "") -> TState:
+    """The state the model simulates.  Raises ValueError naming the
+    visibility t (followed by ``cap``) and the largest physical visibility
+    along T0 when t * T0 is not a physical state."""
+    t_phys = max_physical_visibility(model.target)
+    if model.visibility > t_phys:
+        raise ValueError(
+            f"visibility t = {model.visibility:.6g}{cap} gives an unphysical "
+            f"state along T0; the largest physical visibility is {t_phys:.6g}"
+        )
+    return model.simulated_state()
 
 
 def _parse_orientation(tokens: list[str], seed: int) -> tuple[Rotation, dict]:
@@ -136,18 +150,13 @@ def cmd_model(args: argparse.Namespace) -> int:
             "t": model.visibility,
         }
         config.update(echo)
-    t_phys = max_physical_visibility(model.target)
-    if model.visibility > t_phys:
-        raise ValueError(
-            f"visibility t = {model.visibility:.6g} (t_max = {t_max:.6g}) gives an unphysical "
-            f"state along T0; the largest physical visibility is {t_phys:.6g}"
-        )
+    state = _simulated_state(model, f" (t_max = {t_max:.6g})")
     config["directions"] = args.directions
     config["direction_seed"] = args.seed
     config["residual_gate"] = RESIDUAL_GATE
 
     directions = _random_directions(args.directions, args.seed)
-    report = verify_model(model, model.simulated_state(), directions)
+    report = verify_model(model, state, directions)
 
     if args.out is not None:
         doc = model_to_dict(model)
@@ -289,8 +298,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     text = Path(args.model).read_text(encoding="utf-8")
     model = model_from_json(text)
+    state = _simulated_state(model)
     directions = _random_directions(args.directions, args.seed)
-    report = verify_model(model, model.simulated_state(), directions)
+    report = verify_model(model, state, directions)
     doc = {
         "t": model.visibility,
         "entropy_bits": entropy_bits(model),

@@ -315,10 +315,20 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
     intersected with its exit face; the face's barycentric coordinates are
     scaled by inradius/s and the remainder spread uniformly over all
     vertices, which cancels because the vertex set is inversion symmetric.
+
+    Only the exit distances s are computed for every face.  The candidate
+    exit faces of a direction are those within a relative 1e-9 of its
+    nearest: one face, or several where the ray leaves through an edge, a
+    vertex or a non-triangular facet split into coplanar pieces.
+    Barycentric coordinates are computed for the candidates alone, and
+    the candidate with the largest minimum coordinate, the piece that
+    contains the exit point, is kept (the lowest face index on a tie).
     """
     x = np.atleast_2d(np.asarray(directions, dtype=float))
     if x.ndim != 2 or x.shape[1] != 3:
         raise ValueError(f"directions must have shape (n, 3), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("directions must be finite")
     if np.abs(np.linalg.norm(x, axis=1) - 1.0).max() > UNIT_TOL:
         raise ValueError("directions must be unit vectors")
     if not p.is_inversion_symmetric:
@@ -326,29 +336,33 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
 
     normals, offsets, inv = p._face_frames
     along = x @ normals.T                          # (n, F)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_all = np.where(along > 0, offsets[None, :] / along, np.inf)
+    with np.errstate(divide="ignore"):
+        s_all = offsets / along
+    s_all[along <= 0] = np.inf
     s = s_all.min(axis=1)                          # exit distance per direction
-    # Non-triangular faces arrive triangulated into coplanar pieces that tie
-    # in s; among the tied faces keep the piece containing the exit point.
-    near = s_all <= s[:, None] * (1.0 + 1e-9)
-    bary_all = s[:, None, None] * np.einsum("fij,nj->nfi", inv, x)
-    score = np.where(near, bary_all.min(axis=2), -np.inf)
-    hit = np.argmax(score, axis=1)
-    bary = bary_all[np.arange(len(x)), hit]
+    # (direction, face) candidate pairs, grouped by direction in face order
+    rows, cand = np.nonzero(s_all <= s[:, None] * (1.0 + 1e-9))
+    bary = s[rows, None] * np.einsum("pij,pj->pi", inv[cand], x[rows])
+    # length-3 rows are reduced column by column, far faster than axis=1
+    score = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
+    first = np.r_[True, rows[1:] != rows[:-1]]     # each direction's first pair
+    best = np.maximum.reduceat(score, np.flatnonzero(first))
+    top = np.flatnonzero(score == best[rows])      # pairs at their direction's best
+    pick = top[np.r_[True, rows[top[1:]] != rows[top[:-1]]]]  # lowest face of those
+    hit, bary = cand[pick], bary[pick]
     if bary.min() < -1e-12:
         raise RuntimeError(
             f"ray-face intersection failed: barycentric coordinate {bary.min():.3e}"
         )
     bary = np.maximum(bary, 0.0)
-    bary /= bary.sum(axis=1, keepdims=True)
+    bary /= (bary[:, 0] + bary[:, 1] + bary[:, 2])[:, None]
 
     n_dirs, n_verts = len(x), len(p.vertices)
     face_part = p.inradius / s
     weights = np.empty((n_dirs, n_verts))
     weights[:] = (np.maximum(1.0 - face_part, 0.0) / n_verts)[:, None]
-    np.add.at(weights, (np.arange(n_dirs)[:, None], p.faces[hit]),
-              face_part[:, None] * bary)
+    # a face's three vertices are distinct, so no index repeats in a row
+    weights[np.arange(n_dirs)[:, None], p.faces[hit]] += face_part[:, None] * bary
     return weights
 
 

@@ -248,8 +248,10 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_trace_err, self.max_bloch_err,
-                   self.alice_marginal_err, self.bob_marginal_err)
+        """The largest residual; NaN when any residual is NaN, so that it
+        fails every ``<`` gate."""
+        return float(np.max([self.max_trace_err, self.max_bloch_err,
+                             self.alice_marginal_err, self.bob_marginal_err]))
 
     def as_dict(self) -> dict:
         return {
@@ -275,6 +277,8 @@ def verify_model(model: FiniteLhsModel, state: TState,
         x = np.atleast_2d(np.asarray(directions, dtype=float))
         if len(x) == 0:
             raise ValueError("need at least one verification direction")
+        if not np.isfinite(x).all():
+            raise ValueError("verification directions must be finite")
     f = _response_matrix(model, x)
     q = model._weights
     blochs = model._blochs

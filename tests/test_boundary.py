@@ -90,6 +90,15 @@ def test_axial_solve_t0z_one():
     assert norm_integral(DiagMat3(t0x, t0x, 1.0)) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [1e-11, 1e-12, 1e-15, 1e-300])
+def test_axial_solve_t0z_one_below_the_bracket_residual(tol):
+    """At t0z = 1 the lower bracket end leaves |N - 1| = 1.45e-11; a
+    smaller tolerance bisects below it and still returns a positive root."""
+    t0x = axial_boundary_solve(1.0, tol=tol)
+    assert 0.0 < t0x < 1e-6
+    assert abs(norm_integral(DiagMat3(t0x, t0x, 1.0)) - 1.0) <= tol
+
+
 def test_axial_solve_residual_meets_tolerance():
     for t0z in (0.1, 0.3, 0.8):
         t0x = axial_boundary_solve(t0z, tol=1e-10)

@@ -196,6 +196,22 @@ def test_boundary_validate_and_meta(capsys, tmp_path):
     assert meta["integral"] == "carlson_rg"
 
 
+def test_boundary_and_scan_below_the_bracket_residual(capsys, tmp_path):
+    """--tol 1e-12 is below the residual 1.45e-11 of the lower bracket end
+    at t0z = 1; the last row bisects below it to a positive t0x."""
+    code, out, err = run(capsys, ["boundary", "--n", "3", "--tol", "1e-12", "--validate"])
+    assert code == 0, err
+    t0z, t0x = out.strip().splitlines()[-1].split(",")
+    assert float(t0z) == 1.0 and 0.0 < float(t0x) < 1e-6
+    path = tmp_path / "scan.csv"
+    code, _, err = run(capsys, ["scan", "--n", "4", "--tol", "1e-12", "--out", str(path)])
+    assert code == 0, err
+    last = path.read_text().strip().splitlines()[-1].split(",")
+    assert float(last[0]) == 1.0 and 0.0 < float(last[1]) < 1e-6
+    summary = serialize.loads((tmp_path / "scan.csv.summary.json").read_text())
+    assert summary["config"]["solver_tol"] == 1e-12
+
+
 def test_boundary_usage_error(capsys):
     code, _, err = run(capsys, ["boundary", "--n", "1"])
     assert code == 2
@@ -323,6 +339,23 @@ def test_model_unphysical_max_visibility_exits_2(capsys):
     code, out, _ = run(capsys, ["model", "icosa", "--t0", "0.9", "0.9", "0.9", "--t", "0.37"])
     assert code == 0
     assert serialize.loads(out)["residuals"]["max_bloch_err"] < 1e-10
+
+
+def test_verify_unphysical_visibility_exits_2(capsys, tmp_path):
+    """A model file whose t is edited past the physical set along T0 exits
+    2 naming t and the largest physical visibility, as ``model`` does."""
+    path = tmp_path / "m.json"
+    code, _, _ = run(capsys, ["model", "icosa", *WERNER_ARGS, "--out", str(path)])
+    assert code == 0
+    doc = serialize.loads(path.read_text())
+    doc["t"] = 2.5  # diag(-1.25, -1.25, -1.25); the last physical t is 2
+    path.write_text(serialize.dumps(doc))
+    code, out, err = run(capsys, ["verify", "--model", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: visibility t = 2.5 gives an unphysical state")
+    assert "largest physical visibility is 2" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_degenerate_preimages_exit_2(capsys, tmp_path):

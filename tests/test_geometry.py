@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import QhullError
 
@@ -10,6 +10,7 @@ from finitelhs.geometry import (
     GOLDEN_RATIO,
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
+    Polyhedron,
     Rotation,
     convex_decompose,
     cube,
@@ -19,6 +20,7 @@ from finitelhs.geometry import (
     icosahedron,
     octahedron,
     polyhedron_from_vertices,
+    quaternion_matrices,
     random_rotation,
     rotation_to_z,
     sign_sum_constant,
@@ -28,6 +30,7 @@ from finitelhs.geometry import (
 
 from conftest import random_unit_vectors
 from convex_hull_oracle import PLANE_TOL, hull_facets
+from decompose_oracle import all_faces_decompose
 
 
 def test_icosahedron_basic_shape():
@@ -144,6 +147,63 @@ def test_convex_decompose_needs_inversion_symmetry():
         convex_decompose(tetrahedron(), np.array([0.0, 0.0, 1.0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decompose_rejects_non_finite_directions(bad):
+    x = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        decompose_directions(icosahedron(), x)
+
+
+def tie_directions(p: Polyhedron, lam: float) -> np.ndarray:
+    """Directions whose ray leaves through more than one face: the
+    vertices and their antipodes, the face centres, and the points at
+    1/4, 1/2, 3/4 and ``lam`` of every triangle edge, which include the
+    diagonals of a cube's squares."""
+    a, b, c = np.moveaxis(p.vertices[p.faces], 1, 0)
+    points = [p.vertices, -p.vertices, a + b + c]
+    for t in (0.25, 0.5, 0.75, lam):
+        points += [(1.0 - t) * e + t * f for e, f in ((a, b), (b, c), (c, a))]
+    x = np.vstack(points)
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron]),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0))
+@example(icosahedron, (1.0, 0.0, 0.0, 0.0), 0, 0.5)
+@example(cube, (1.0, 0.0, 0.0, 0.0), 0, 0.5)
+@example(octahedron, (1.0, 0.0, 0.0, 0.0), 0, 0.5)
+def test_decompose_matches_all_faces_oracle(solid, quat, seed, lam):
+    """Bit for bit the weights of the all-faces oracle, on random
+    directions and on directions that tie between faces, in one batch and
+    one row at a time."""
+    assume(np.linalg.norm(quat) > 0.1)
+    p = solid(Rotation.from_quat(quat))
+    ties = tie_directions(p, lam)
+    x = np.vstack([random_unit_vectors(np.random.default_rng(seed), 300), ties])
+    assert np.array_equal(decompose_directions(p, x), all_faces_decompose(p, x))
+    for row in ties[:: len(ties) // 7]:
+        assert np.array_equal(decompose_directions(p, row[None, :]),
+                              all_faces_decompose(p, row[None, :]))
+
+
+def test_decompose_rejects_a_corrupted_face_frame():
+    """With face 0 replaced by a copy of face 1 the surface has a hole;
+    the ray through the hole meets only planes outside their triangles."""
+    ico = icosahedron()
+    faces = ico.faces.copy()
+    faces[0] = faces[1]
+    holed = Polyhedron(vertices=ico.vertices, faces=faces, inradius=ico.inradius, kind="holed")
+    centre = ico.vertices[ico.faces[0]].sum(axis=0)
+    x = np.vstack([ico.vertices, centre / np.linalg.norm(centre)])
+    for decompose in (decompose_directions, all_faces_decompose):
+        with pytest.raises(RuntimeError, match="ray-face intersection failed"):
+            decompose(holed, x)
+
+
 def test_random_rotation_reproducible_and_orthogonal():
     r1 = random_rotation(np.random.default_rng(42))
     r2 = random_rotation(np.random.default_rng(42))
@@ -154,13 +214,16 @@ def test_random_rotation_reproducible_and_orthogonal():
 
 
 def test_random_rotation_is_roughly_uniform():
-    rng = np.random.default_rng(7)
-    v = np.array([0.0, 0.0, 1.0])
-    mean = np.zeros(3)
+    """100,000 draws of random_rotation, made in one batch: the (n, 4)
+    normals are the stream of n calls, as the first thousand confirm."""
     n = 100_000
-    for _ in range(n):
-        mean += random_rotation(rng).apply(v)
-    mean /= n
+    quats = np.random.default_rng(7).standard_normal((n, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    replay = np.random.default_rng(7)
+    calls = np.array([random_rotation(replay).quat for _ in range(1000)])
+    assert np.abs(calls - quats[:1000]).max() <= 1e-15
+    # R e_z is the last column of R
+    mean = quaternion_matrices(quats)[:, :, 2].mean(axis=0)
     # |mean| ~ 1/sqrt(n) for a uniform distribution; allow 3 sigma
     assert np.linalg.norm(mean) < 3.0 / np.sqrt(n)
 

@@ -17,6 +17,7 @@ from finitelhs.lhsmodel import (
     Atom,
     FiniteLhsModel,
     LinearResponse,
+    VerificationReport,
     build_icosahedron_model,
     build_polyhedron_model,
     build_separable_tetrahedron_model,
@@ -381,3 +382,24 @@ def test_verify_model_needs_directions():
     model = vertex_model()
     with pytest.raises(ValueError):
         verify_model(model, model.simulated_state(), np.empty((0, 3)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_verify_model_rejects_non_finite_directions(bad):
+    """A non-finite direction is an input error, not a row whose NaN
+    residual drops out of the maximum and passes the gate."""
+    for model in (vertex_model(), build_separable_tetrahedron_model(DiagMat3(0.2, -0.3, 0.5))):
+        with pytest.raises(ValueError, match="finite"):
+            verify_model(model, model.simulated_state(), np.array([[bad, 0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_max_residual_keeps_nan():
+    for field in range(4):
+        errs = [0.0, 1e-3, 0.0, 0.0]
+        errs[field] = np.nan
+        report = VerificationReport(*errs, n_directions=1)
+        assert np.isnan(report.max_residual)
+        assert not report.max_residual < 1e-8
+    assert VerificationReport(0.0, 2e-3, 1e-3, 0.0, n_directions=1).max_residual == 2e-3
