@@ -5,8 +5,10 @@ A diagonal correlation matrix T0 is critical when the sphere average
 ``2 R_G(dx^2, dy^2, dz^2)`` with R_G Carlson's symmetric elliptic integral
 (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26; DLMF 19.16), since
 ``R_G(x, y, z) = (1/4pi) integral sqrt(x n1^2 + y n2^2 + z n3^2) dn``.
-For T0 = diag(a, a, t0z) the integral is monotone in ``a``, so the boundary
-curve a(t0z) is found by bisection.
+On the axial family T0 = diag(a, a, z) R_G is elementary, the area of a
+spheroid: ``2 R_G(z^2, a^2, a^2) = |z| + a^2 R_C(z^2, a^2)`` (DLMF 19.20.5).
+The integral is monotone in ``a``; one array bisection finds the boundary
+a(t0z) on a whole t0z grid.
 """
 
 from __future__ import annotations
@@ -17,81 +19,74 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .qstate import DiagMat3
 
 SOLVER_TOL = 1e-10
 BRACKET = (1e-6, 1.5)
 DEFAULT_T0Z_MIN = 0.02
 
 
-def _elliprg(x: float, y: float, z: float) -> float:
-    """Carlson's R_G.  The first call imports scipy.special, which only the
-    boundary needs, and rebinds this name to ``scipy.special.elliprg``."""
-    global _elliprg
-    from scipy.special import elliprg
+def norm_integral(a, z):
+    """``(1/2pi) integral |diag(a, a, z) n| dn`` on the unit sphere, elementwise.
 
-    _elliprg = elliprg
-    return elliprg(x, y, z)
-
-
-def norm_integral(corr: DiagMat3) -> float:
-    """``(1/2pi) integral |corr @ n| dn`` over the unit sphere."""
-    # elliprg returns 0 or nan when all three arguments are below ~1e-150 or
-    # above ~1e150, so evaluate the integral, which is homogeneous of degree
-    # one, at the diagonal scaled to largest entry 1.
-    scale = max(abs(corr.dx), abs(corr.dy), abs(corr.dz))
-    if scale == 0.0:
-        return 0.0
-    x, y, z = corr.dx / scale, corr.dy / scale, corr.dz / scale
-    return 2.0 * scale * float(_elliprg(x * x, y * y, z * z))
-
-
-def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 0.0) -> float:
-    """A root of ``f`` between ``lo`` and ``hi``, where f(lo) < 0 < f(hi).
-
-    Halves the bracket until ``|f(mid)| <= tol`` or the midpoint no longer
-    falls strictly inside it, i.e. the bracket has closed to adjacent floats.
+    Equals ``|z| + |a| g`` with ``d = sqrt|(z - a)(z + a)|`` and
+    ``g = (a/d) asinh(d/a)`` when |z| > |a|, ``g = (a/d) atan2(d, |z|)``
+    when |z| < |a|, and g = 1 when d = 0.
     """
+    a = np.abs(np.asarray(a, dtype=float))
+    z = np.abs(np.asarray(z, dtype=float))
+    # a product of roots: the root of the product underflows for tiny entries
+    d = np.sqrt(np.abs(z - a)) * np.sqrt(z + a)
+    # where d = 0, g = 1; where a <= 1e-300 d, d/a can overflow but a g is
+    # below ulp(|z|) / 2, as is a: both cases add a in place of a g
+    regular = (d > 0) & (a > 1e-300 * d)
+    a_s, d_s = np.where(regular, a, 1.0), np.where(regular, d, 1.0)
+    g = (a_s / d_s) * np.where(z > a, np.arcsinh(d_s / a_s), np.arctan2(d_s, z))
+    return (z + np.where(regular, a * g, a))[()]
+
+
+def bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 0.0):
+    """Roots of ``f`` between ``lo`` and ``hi`` elementwise, where
+    f(lo) < 0 < f(hi); ``f`` maps an array of points to its values.
+
+    Each element halves its bracket until ``|f(mid)| <= tol`` or the
+    midpoint no longer falls strictly inside it, i.e. the bracket has
+    closed to adjacent floats.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     while True:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
         f_mid = f(mid)
-        if abs(f_mid) <= tol:
-            return mid
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
+        stop = (lo >= mid) | (mid >= hi) | (np.abs(f_mid) <= tol)
+        if stop.all():
+            return mid[()]
+        # a stopped element's bracket closes on its midpoint and stays there
+        below = f_mid < 0
+        lo, hi = np.where(stop | below, mid, lo), np.where(below & ~stop, hi, mid)
 
 
-def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL) -> float:
-    """The t0x > 0 with norm_integral(diag(t0x, t0x, t0z)) = 1, by bisection.
+def _boundary_t0x(t0z: np.ndarray, tol: float) -> np.ndarray:
+    """The t0x > 0 with norm_integral(t0x, t0z) = 1 for each t0z in (0, 1].
 
     At t0z = 1 the root degenerates to 0+, and the integral at the lower
     bracket end exceeds 1 by 1.45e-11.  That end is returned when tol
     allows; otherwise the root is bisected between 0, where the integral
     equals t0z, and that end.
     """
-    if not (0.0 < t0z <= 1.0):
-        raise ValueError(f"t0z must lie in (0, 1], got {t0z!r}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    lo, hi = np.full(t0z.shape, BRACKET[0]), np.full(t0z.shape, BRACKET[1])
+    f_lo = norm_integral(lo, t0z) - 1.0
+    above = f_lo > 0
+    hi[above], lo[above] = lo[above], 0.0
+    root = bisect(lambda a: norm_integral(a, t0z) - 1.0, lo, hi, tol)
+    return np.where(above & (f_lo <= tol), BRACKET[0], root)
 
-    def residual(a: float) -> float:
-        return norm_integral(DiagMat3(a, a, t0z)) - 1.0
 
-    lo, hi = BRACKET
-    f_lo = residual(lo)
-    if f_lo > 0:
-        if f_lo <= tol:
-            return lo
-        if residual(0.0) <= 0:
-            return bisect(residual, 0.0, lo, tol)
-        raise ValueError(f"no boundary crossing above t0x = {lo} for t0z = {t0z}")
-    if residual(hi) < 0:
-        raise ValueError(f"no boundary crossing below t0x = {hi} for t0z = {t0z}")
-    return bisect(residual, lo, hi, tol)
+def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL) -> float:
+    """The t0x > 0 with norm_integral(t0x, t0z) = 1, by bisection."""
+    if not (0.0 < t0z <= 1.0):
+        raise ValueError(f"t0z must lie in (0, 1], got {t0z!r}")
+    return float(_boundary_t0x(np.array([t0z], dtype=float), tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +108,7 @@ def sample_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
     if not (0.0 < t0z_min < 1.0):
         raise ValueError(f"t0z_min must lie in (0, 1), got {t0z_min!r}")
     zs = np.linspace(t0z_min, 1.0, n)
-    xs = np.array([axial_boundary_solve(z, tol=tol) for z in zs])
-    return BoundaryCurve(t0z=zs, t0x=xs)
+    return BoundaryCurve(t0z=zs, t0x=_boundary_t0x(zs, tol))
 
 
 def boundary_csv(curve: BoundaryCurve) -> str:

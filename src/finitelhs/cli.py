@@ -186,10 +186,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
         }
         _write_text(serialize.dumps(meta), args.out + ".meta.json")
     if args.validate:
-        worst = max(
-            abs(norm_integral(DiagMat3(t0x, t0x, t0z)) - 1.0)
-            for t0z, t0x in zip(curve.t0z, curve.t0x)
-        )
+        worst = np.abs(norm_integral(curve.t0x, curve.t0z) - 1.0).max()
         if worst > 1e-8:
             _fail(f"boundary re-validation failed: |N - 1| up to {worst:.3e}")
             return 1

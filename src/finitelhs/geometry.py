@@ -7,7 +7,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .qstate import UNIT_TOL, as_unit_vector
+from .qstate import UNIT_TOL, as_unit_rows, as_unit_vector
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -324,13 +324,7 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
     the candidate with the largest minimum coordinate, the piece that
     contains the exit point, is kept (the lowest face index on a tie).
     """
-    x = np.atleast_2d(np.asarray(directions, dtype=float))
-    if x.ndim != 2 or x.shape[1] != 3:
-        raise ValueError(f"directions must have shape (n, 3), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("directions must be finite")
-    if np.abs(np.linalg.norm(x, axis=1) - 1.0).max() > UNIT_TOL:
-        raise ValueError("directions must be unit vectors")
+    x = as_unit_rows(directions)
     if not p.is_inversion_symmetric:
         raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
 

@@ -31,7 +31,7 @@ from .geometry import (
     tetrahedron,
     vertex_signs,
 )
-from .qstate import DiagMat3, Measurement, TState, as_unit_vector
+from .qstate import DiagMat3, Measurement, TState, as_unit_rows, as_unit_vector
 
 WEIGHT_TOL = 1e-12
 ATOM_MAP_TOL = 1e-12
@@ -274,11 +274,7 @@ def verify_model(model: FiniteLhsModel, state: TState,
     if directions is None:
         x = fibonacci_sphere(DEFAULT_VERIFY_DIRECTIONS)
     else:
-        x = np.atleast_2d(np.asarray(directions, dtype=float))
-        if len(x) == 0:
-            raise ValueError("need at least one verification direction")
-        if not np.isfinite(x).all():
-            raise ValueError("verification directions must be finite")
+        x = as_unit_rows(directions, "verification directions")
     f = _response_matrix(model, x)
     q = model._weights
     blochs = model._blochs

@@ -29,6 +29,20 @@ def as_unit_vector(v, what: str = "vector", tol: float = UNIT_TOL) -> np.ndarray
     return arr
 
 
+def as_unit_rows(x, what: str = "directions") -> np.ndarray:
+    """``x`` as an (n, 3) array of n >= 1 finite unit rows; a single
+    3-vector is one row."""
+    arr = np.atleast_2d(np.asarray(x, dtype=float))
+    if arr.ndim != 2 or arr.shape[1] != 3 or len(arr) == 0:
+        raise ValueError(f"{what} must have shape (n, 3) with n >= 1, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    sq = arr * arr                  # column sums: far faster than norm(axis=1)
+    if np.abs(np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]) - 1.0).max() > UNIT_TOL:
+        raise ValueError(f"{what} must be unit vectors")
+    return arr
+
+
 @dataclass(frozen=True)
 class DiagMat3:
     """A real diagonal 3x3 matrix, stored as its diagonal."""
@@ -38,7 +52,6 @@ class DiagMat3:
     dz: float
 
     def __post_init__(self) -> None:
-        # scalar checks: the boundary solver builds one of these per evaluation
         if not (math.isfinite(self.dx) and math.isfinite(self.dy)
                 and math.isfinite(self.dz)):
             raise ValueError(

@@ -5,6 +5,8 @@ orientations is reached with a symmetry axis (vertex, face center, or edge
 midpoint) on the z axis, and each case has a closed form for the weight
 normalization S = 12 / sum_i |T0 v_i|.  The visibility is then
 S * gamma * l / 6 with gamma = 1 + sqrt5 and l the icosahedron inradius.
+S is homogeneous of degree -1 in (t0x, t0z), so the regime crossovers are
+solved in r = t0x / t0z alone and put on the boundary by homogeneity.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .boundary import (
     SOLVER_TOL,
     axial_boundary_solve,
     bisect,
+    norm_integral,
     sample_axial_family,
 )
 from .geometry import (
@@ -175,32 +178,34 @@ def zero_entanglement_interval(points: list[AxialPoint],
     return best
 
 
-def _regime_crossover(first: int, second: int, lo: float, hi: float,
-                      tol: float) -> float:
-    """The t0z in (lo, hi) on the boundary where regime ``second`` overtakes
-    regime ``first``, bisected until the bracket closes."""
-
-    def gap(t0z: float) -> float:
-        s_values = analytic_norm_constants(axial_boundary_solve(t0z, tol=tol), t0z)
-        return s_values[second] - s_values[first]
-
-    if not gap(lo) < 0 < gap(hi):
-        raise RuntimeError(f"crossover bracket ({lo}, {hi}) failed")
-    return bisect(gap, lo, hi)
-
-
-def vertex_face_crossover(tol: float = SOLVER_TOL) -> float:
-    """The t0z on the boundary where the vertex and face maxima exchange.
-
-    All three constants coincide at the isotropic point, so this lands
-    at 1/2 up to the solver tolerance.
+def vertex_face_crossover() -> float:
+    """The t0z on the boundary where the vertex and face maxima exchange:
+    the isotropic point t0x = t0z, at t0z = 1 / norm_integral(1, 1) = 1/2.
     """
-    return _regime_crossover(0, 1, 0.3, 0.7, tol)
+    return float(1.0 / norm_integral(1.0, 1.0))
 
 
-def face_edge_crossover(tol: float = SOLVER_TOL) -> float:
-    """The t0z on the boundary where the face and edge maxima exchange."""
-    return _regime_crossover(1, 2, 0.6, 0.98, tol)
+def _face_edge_quintic(x):
+    """With t0z = 1 and x = t0x^2, s_face = s_edge reads
+    sqrt3 (u + v) = p + q + w for the five square roots u, v, p, q, w in
+    the two constants.  u^2 + v^2 and q^2 + w^2 are rational in x, and
+    u v = sqrt(20 x^2 + 35 x + 5/4) and q w = sqrt(20 x^2 + 60 x + 20), so
+    sqrt5 leaves with two squarings and the remaining roots with two more.
+    What is left is (x - 1)^3, the isotropic point, times this quintic.
+    Its roots in (0, 1) are 0.0564, the crossover, and 0.135 and 0.340,
+    which solve the equation with a sign flipped."""
+    return ((((479.0 * x + 1605.0) * x - 47810.0) * x + 25010.0) * x - 3405.0) * x + 121.0
+
+
+def face_edge_crossover() -> float:
+    """The t0z on the boundary where the face and edge maxima exchange.
+
+    r = t0x / t0z there has r^2 the root of _face_edge_quintic in (0, 0.1),
+    bisected until the bracket closes; norm_integral is homogeneous of
+    degree 1, so the boundary point is t0z = 1 / norm_integral(r, 1).
+    """
+    x = bisect(lambda x: -_face_edge_quintic(x), 0.0, 0.1)
+    return float(1.0 / norm_integral(np.sqrt(x), 1.0))
 
 
 def werner_reference(tol: float = SOLVER_TOL) -> dict:
@@ -235,8 +240,7 @@ def scan_summary(points: list[AxialPoint], tol: float = SOLVER_TOL) -> dict:
     interval = zero_entanglement_interval(points)
     return {
         "min_entropy_bits": min(p.entropy_bits for p in points),
-        "regime_crossovers": [vertex_face_crossover(tol=tol),
-                              face_edge_crossover(tol=tol)],
+        "regime_crossovers": [vertex_face_crossover(), face_edge_crossover()],
         "zero_entanglement_interval": list(interval) if interval else None,
         "werner_refs": werner_reference(tol=tol),
     }

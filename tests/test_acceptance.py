@@ -50,6 +50,7 @@ from finitelhs.scanopt import (
     zero_entanglement_interval,
 )
 
+from boundary_oracle import rg_norm_integral
 from sphere_quadrature import DEFAULT_QUADRATURE, quadrature_norm_integral
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
@@ -192,16 +193,21 @@ def test_criterion_06_entanglement(scan500):
 
 
 def test_criterion_07_boundary_integral():
-    n_err = abs(norm_integral(WERNER) - 1.0)
+    n_err = abs(norm_integral(-0.5, -0.5) - 1.0)
     mid_err = abs(axial_boundary_solve(0.5) - 0.5)
     small_err = abs(axial_boundary_solve(1e-3) - 2.0 / np.pi)
     nodes, weights = DEFAULT_QUADRATURE.nodes, DEFAULT_QUADRATURE.weights
     moments = np.einsum("k,ki,kj->ij", weights, nodes, nodes)
     moment_err = np.abs(moments - (4.0 * np.pi / 3.0) * np.eye(3)).max()
-    # the closed form against the product-rule oracle, on and off the axial family
-    diags = [(0.5, 0.5, 0.2), (0.3, 0.3, 0.9), (-0.4, 0.2, 0.7), (0.15, -0.6, -0.3)]
-    oracle_err = max(abs(norm_integral(DiagMat3(*d)) - quadrature_norm_integral(d))
-                     for d in diags)
+    # the closed form against the product-rule and R_G oracles, and R_G
+    # against the product rule off the axial family
+    axial = [(0.5, 0.5, 0.2), (0.3, 0.3, 0.9), (-0.4, -0.4, 0.7), (0.15, 0.15, -0.3)]
+    oracle_err = max(max(abs(norm_integral(d[0], d[2]) - quadrature_norm_integral(d)),
+                         abs(norm_integral(d[0], d[2]) - rg_norm_integral(d)))
+                     for d in axial)
+    off_axial = [(-0.4, 0.2, 0.7), (0.15, -0.6, -0.3)]
+    oracle_err = max([oracle_err] + [abs(rg_norm_integral(d) - quadrature_norm_integral(d))
+                                     for d in off_axial])
     ok = (n_err < 1e-10 and mid_err < 1e-9 and small_err < 1e-6
           and moment_err < 1e-10 and oracle_err < 1e-10)
     report(7, ok, f"|N-1| {n_err:.1e}, solve(1/2) err {mid_err:.1e}, "

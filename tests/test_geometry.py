@@ -155,6 +155,16 @@ def test_decompose_rejects_non_finite_directions(bad):
         decompose_directions(icosahedron(), x)
 
 
+@pytest.mark.parametrize("x,message", [
+    (np.empty((0, 3)), "n >= 1"),
+    (np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]), "unit"),
+    (np.zeros((2, 2)), "shape"),
+])
+def test_decompose_rejects_malformed_directions(x, message):
+    with pytest.raises(ValueError, match=message):
+        decompose_directions(icosahedron(), x)
+
+
 def tie_directions(p: Polyhedron, lam: float) -> np.ndarray:
     """Directions whose ray leaves through more than one face: the
     vertices and their antipodes, the face centres, and the points at

@@ -384,6 +384,19 @@ def test_verify_model_needs_directions():
         verify_model(model, model.simulated_state(), np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("directions,message", [
+    (np.empty((0, 3)), "n >= 1"),
+    (np.array([[0.0, 0.0, 2.0]]), "unit"),
+    (np.array([[0.0, 1.0]]), "shape"),
+])
+def test_verify_model_needs_unit_directions(directions, message):
+    """Both model kinds run the same input check; a linear-response model
+    once passed a direction of length 2 with residual 5.6e-17."""
+    for model in (vertex_model(), build_separable_tetrahedron_model(DiagMat3(0.2, -0.3, 0.5))):
+        with pytest.raises(ValueError, match=message):
+            verify_model(model, model.simulated_state(), directions)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_verify_model_rejects_non_finite_directions(bad):

@@ -193,13 +193,15 @@ def test_zero_entanglement_interval_none_when_all_entangled():
 
 
 def test_vertex_face_crossover_is_the_isotropic_point():
-    assert vertex_face_crossover() == pytest.approx(0.5, abs=1e-9)
+    assert vertex_face_crossover() == 0.5
 
 
 def test_face_edge_crossover_location():
     t0z = face_edge_crossover()
     assert 0.86 < t0z < 0.92
     assert t0z == pytest.approx(0.8906291, abs=1e-5)
+    # mpmath at 40 digits, from the face and edge sums and 2 R_G
+    assert abs(t0z - 0.89062911872632091) <= 2 * np.spacing(t0z)
 
 
 def test_face_edge_crossover_matches_nested_root():
