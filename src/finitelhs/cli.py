@@ -167,6 +167,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         "t": model.visibility,
         "entropy_bits": entropy_bits(model),
         "residuals": report.as_dict(),
+        "worst": report.worst(),
         "config": config,
     }
     _write_text(serialize.dumps(report_doc), args.report)
@@ -210,7 +211,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if summary_path is None:
             summary_path = args.out + ".summary.json"
     if summary_path is not None:
-        summary = scan_summary(points, tol=args.tol)
+        summary = scan_summary(points)
         summary["config"] = meta
         _write_text(serialize.dumps(summary), summary_path)
     return 0
@@ -302,6 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "t": model.visibility,
         "entropy_bits": entropy_bits(model),
         "residuals": report.as_dict(),
+        "worst": report.worst(),
         "config": {"subcommand": "verify", "model": args.model,
                    "directions": args.directions, "direction_seed": args.seed,
                    "residual_gate": RESIDUAL_GATE},

@@ -307,27 +307,19 @@ def sign_sum_constant(p: Polyhedron, tol: float = 1e-9) -> float:
     return float(c.mean())
 
 
-def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
-    """Convex weights over vertices for each unit direction (vectorized).
+def _exit_candidates(p: Polyhedron, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exit face, exit distance s, barycentric coordinates of the exit
+    point on that face) for each unit direction in the rows of ``x``.
 
-    Row k of the result satisfies  w >= 0,  sum w = 1  and
-    ``w @ p.vertices = p.inradius * directions[k]``.  The ray along x is
-    intersected with its exit face; the face's barycentric coordinates are
-    scaled by inradius/s and the remainder spread uniformly over all
-    vertices, which cancels because the vertex set is inversion symmetric.
-
-    Only the exit distances s are computed for every face.  The candidate
+    Only the exit distances are computed for every face.  The candidate
     exit faces of a direction are those within a relative 1e-9 of its
     nearest: one face, or several where the ray leaves through an edge, a
     vertex or a non-triangular facet split into coplanar pieces.
     Barycentric coordinates are computed for the candidates alone, and
     the candidate with the largest minimum coordinate, the piece that
     contains the exit point, is kept (the lowest face index on a tie).
+    Raises RuntimeError when even that piece misses the exit point.
     """
-    x = as_unit_rows(directions)
-    if not p.is_inversion_symmetric:
-        raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
-
     normals, offsets, inv = p._face_frames
     along = x @ normals.T                          # (n, F)
     with np.errstate(divide="ignore"):
@@ -348,6 +340,27 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
         raise RuntimeError(
             f"ray-face intersection failed: barycentric coordinate {bary.min():.3e}"
         )
+    return hit, s, bary
+
+
+def _check_symmetric(p: Polyhedron) -> None:
+    if not p.is_inversion_symmetric:
+        raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
+
+
+def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
+    """Convex weights over vertices for each unit direction (vectorized).
+
+    Row k of the result satisfies  w >= 0,  sum w = 1  and
+    ``w @ p.vertices = p.inradius * directions[k]``.  The ray along x is
+    intersected with its exit face, the candidate that contains the exit
+    point (see ``_exit_candidates``); the face's barycentric coordinates
+    are scaled by inradius/s and the remainder spread uniformly over all
+    vertices, which cancels because the vertex set is inversion symmetric.
+    """
+    x = as_unit_rows(directions)
+    _check_symmetric(p)
+    hit, s, bary = _exit_candidates(p, x)
     bary = np.maximum(bary, 0.0)
     bary /= (bary[:, 0] + bary[:, 1] + bary[:, 2])[:, None]
 
@@ -360,10 +373,28 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
     return weights
 
 
-def convex_decompose(p: Polyhedron, x) -> np.ndarray:
-    """Weights w >= 0 with sum 1 and  w @ vertices = inradius * x."""
-    x = as_unit_vector(x, "direction")
-    return decompose_directions(p, x[None, :])[0]
+def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
+    """The face whose cone contains each unit direction in the rows of
+    ``x`` (already checked by ``as_unit_rows``).
+
+    The face plane the ray along x meets first maximizes x.n/d over the
+    faces.  Coplanar pieces of a split facet tie on that score, and the
+    argmax then names the same piece wherever x lies in the facet, so the
+    barycentric coordinates on the argmax piece are checked: rows where
+    one is below -1e-12 take the containing piece from
+    ``_exit_candidates``.  On an edge or vertex the faces that meet there
+    agree to rounding, so any of them will do.
+    """
+    _check_symmetric(p)
+    normals, offsets, inv = p._face_frames
+    hit = np.argmax(x @ (normals / offsets[:, None]).T, axis=1)
+    # coordinates divided by s: they sum to 1/s, the exit point being on the plane
+    bary = np.einsum("nij,nj->ni", inv[hit], x)
+    low = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
+    outside = np.flatnonzero(low < -1e-12 * (bary[:, 0] + bary[:, 1] + bary[:, 2]))
+    if len(outside):
+        hit[outside] = _exit_candidates(p, x[outside])[0]
+    return hit
 
 
 def special_orientations() -> tuple[Rotation, Rotation, Rotation]:

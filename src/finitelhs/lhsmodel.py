@@ -10,6 +10,14 @@ The simulated assemblage is
 
 and the model is correct for a state when both match the quantum
 assemblage for every measurement direction.
+
+Both responses are piecewise linear in x: a sign mixture is linear on
+each face cone of its polyhedron, a linear response on the whole sphere.
+:func:`verify_model` therefore checks the model exactly, once per region
+(the certificate, ``certificate_err``), and also evaluates the residuals
+on a grid of directions from the same per-region maps, without forming
+the (directions x atoms) response matrix.  The report names the largest
+residual and the face where the certificate is worst.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from . import serialize
 from .geometry import (
     Polyhedron,
     Rotation,
-    decompose_directions,
+    exit_faces,
     fibonacci_sphere,
     icosahedron,
     polyhedron_from_vertices,
@@ -31,7 +39,7 @@ from .geometry import (
     tetrahedron,
     vertex_signs,
 )
-from .qstate import DiagMat3, Measurement, TState, as_unit_rows, as_unit_vector
+from .qstate import DiagMat3, TState, as_unit_rows, as_unit_vector
 
 WEIGHT_TOL = 1e-12
 ATOM_MAP_TOL = 1e-12
@@ -135,32 +143,6 @@ class FiniteLhsModel:
         return TState(self.target.scaled(self.visibility))
 
 
-def _response_matrix(model: FiniteLhsModel, directions: np.ndarray) -> np.ndarray:
-    """f values, shape (n_directions, n_atoms)."""
-    if isinstance(model.response, SignMixture):
-        weights = decompose_directions(model.response.polyhedron, directions)
-        signs = vertex_signs(model.response.polyhedron.vertices, model._preimages)
-        return model.response.scale * (weights @ signs)
-    return directions @ model._alice_blochs.T
-
-
-def response_value(model: FiniteLhsModel, atom: Atom, x) -> float:
-    """Alice's outcome bias f(x, atom), in [-1, 1]."""
-    x = as_unit_vector(x, "measurement axis")
-    if isinstance(model.response, SignMixture):
-        weights = decompose_directions(model.response.polyhedron, x[None, :])[0]
-        signs = vertex_signs(model.response.polyhedron.vertices, atom.preimage)
-        return float(model.response.scale * (weights @ signs))
-    if atom.alice_bloch is None:
-        raise ValueError("linear-response atom is missing alice_bloch")
-    return float(x @ atom.alice_bloch)
-
-
-def response_probability(model: FiniteLhsModel, atom: Atom, m: Measurement) -> float:
-    """p(outcome | axis, atom) = (1 + outcome * f) / 2."""
-    return 0.5 * (1.0 + m.outcome * response_value(model, atom, m.axis))
-
-
 def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
                            visibility: float | None = None) -> FiniteLhsModel:
     """LHS model on any inversion-symmetric polyhedron with the sign-sum
@@ -236,66 +218,122 @@ def build_separable_tetrahedron_model(target: DiagMat3,
                           target=target, visibility=1.0)
 
 
+def response_maps(model: FiniteLhsModel) -> np.ndarray:
+    """The response as linear maps A, shape (regions, 3, atoms): for a
+    direction x in region r, f(x, atom i) = x @ A[r][:, i].
+
+    A sign-mixture response has one region per face cone F.  There its
+    weights are inradius * inv_F x on the face's vertices plus a uniform
+    remainder, which adds nothing: the vertex set is inversion symmetric,
+    so every atom's signs sum to zero.  Hence
+    A_F = scale * inradius * inv_F^T signs[F].  A linear response is one
+    region with A = eta^T.
+    """
+    if isinstance(model.response, SignMixture):
+        poly = model.response.polyhedron
+        signs = vertex_signs(poly.vertices, model._preimages)     # (vertices, atoms)
+        inv = poly._face_frames[2]
+        return (model.response.scale * poly.inradius) * (
+            inv.transpose(0, 2, 1) @ signs[poly.faces])
+    return model._alice_blochs.T[None]
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 3) array, column by column."""
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+
+
+RESIDUALS = ("max_trace_err", "max_bloch_err", "alice_marginal_err",
+             "bob_marginal_err", "certificate_err")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Worst-case deviations between a model and a quantum assemblage."""
+    """Worst-case deviations between a model and a quantum assemblage.
+
+    ``certificate_err`` is the exact per-region check; ``worst_face`` is
+    the face where it is largest (None for a linear-response model, whose
+    only region is the whole sphere).
+    """
 
     max_trace_err: float
     max_bloch_err: float
     alice_marginal_err: float
     bob_marginal_err: float
+    certificate_err: float
     n_directions: int
+    worst_face: int | None = None
+
+    def _values(self) -> list[float]:
+        return [getattr(self, name) for name in RESIDUALS]
 
     @property
     def max_residual(self) -> float:
         """The largest residual; NaN when any residual is NaN, so that it
         fails every ``<`` gate."""
-        return float(np.max([self.max_trace_err, self.max_bloch_err,
-                             self.alice_marginal_err, self.bob_marginal_err]))
+        return float(np.max(self._values()))
 
     def as_dict(self) -> dict:
-        return {
-            "max_trace_err": self.max_trace_err,
-            "max_bloch_err": self.max_bloch_err,
-            "alice_marginal_err": self.alice_marginal_err,
-            "bob_marginal_err": self.bob_marginal_err,
-            "n_directions": self.n_directions,
-        }
+        return {**dict(zip(RESIDUALS, self._values())), "n_directions": self.n_directions}
+
+    def worst(self) -> dict:
+        """The name of the largest residual (the first NaN one, if any) and
+        ``worst_face``."""
+        return {"residual": RESIDUALS[int(np.argmax(self._values()))], "face": self.worst_face}
 
 
 def verify_model(model: FiniteLhsModel, state: TState,
                  directions: np.ndarray | None = None) -> VerificationReport:
-    """Compare the model's assemblage against the state's for both outcomes.
+    """Compare the model's assemblage against the state's for both outcomes,
+    exactly on every region of the response and on a grid of directions.
 
-    ``directions`` defaults to a 1024-point Fibonacci sphere.  Also reports
-    the residuals of Alice's marginal bias (mean |sum_i q_i f|) and Bob's
-    reduced Bloch vector (|sum_i q_i bloch_i|), both of which must vanish.
+    On a region with response map A (see :func:`response_maps`) the
+    assemblage is linear in x: sum_i q_i f(x, i) = x . a and
+    sum_i q_i f(x, i) bloch_i = x M, with a = A q and M = A Q, where Q has
+    rows q_i bloch_i.  The model is correct exactly when a = 0 and M = T
+    (the state's correlations) on every region and Bob's Bloch vector
+    sum_i q_i bloch_i vanishes.  ``certificate_err`` is the largest
+    max(|a|, |M - T|_F) / 2 over the regions, which bounds the trace and
+    Bloch residuals of every direction, up to the normalization and Bob's
+    terms.
+
+    The grid residuals come from the same two products at each direction
+    of ``directions`` (default: a 1024-point Fibonacci sphere), the region
+    found by :func:`geometry.exit_faces`: the worst trace and Bloch
+    deviations over both outcomes, Alice's marginal bias (mean
+    |sum_i q_i f|) and Bob's reduced Bloch vector (|sum_i q_i bloch_i|).
     """
     if directions is None:
         x = fibonacci_sphere(DEFAULT_VERIFY_DIRECTIONS)
     else:
         x = as_unit_rows(directions, "verification directions")
-    f = _response_matrix(model, x)
     q = model._weights
     blochs = model._blochs
-    expected_bloch = 0.5 * state.corr.apply(x)
-    max_trace = 0.0
-    max_bloch = 0.0
-    for outcome in (1.0, -1.0):
-        p = 0.5 * (1.0 + outcome * f)
-        trace = p @ q
-        bloch = p @ (q[:, None] * blochs)
-        max_trace = max(max_trace, float(np.abs(trace - 0.5).max()))
-        diff = bloch - outcome * expected_bloch
-        max_bloch = max(max_bloch, float(np.linalg.norm(diff, axis=1).max()))
-    alice_err = float(np.abs(f @ q).mean())
-    bob_err = float(np.linalg.norm(q @ blochs))
+    # column 0 of each region is a, columns 1..3 are M
+    coeffs = response_maps(model) @ np.column_stack([q, q[:, None] * blochs])
+    corr = state.corr.as_array()
+    per_region = 0.5 * np.maximum(np.linalg.norm(coeffs[:, :, 0], axis=1),
+                                  np.linalg.norm(coeffs[:, :, 1:] - np.diag(corr), axis=(1, 2)))
+    if isinstance(model.response, SignMixture):
+        hit = exit_faces(model.response.polyhedron, x)
+        products = np.einsum("ni,nij->nj", x, coeffs[hit])
+        worst_face = int(np.argmax(per_region))
+    else:
+        products = x @ coeffs[0]
+        worst_face = None
+    bias = products[:, 0]                          # sum_i q_i f(x, i)
+    gap = products[:, 1:] - corr * x               # sum_i q_i f bloch_i - T x
+    bob = q @ blochs
+    # outcome o = +-1: trace (sum q + o bias) / 2, Bloch deviation (bob + o gap) / 2
+    max_bloch = 0.5 * np.maximum(_row_norms(bob + gap), _row_norms(bob - gap)).max()
     return VerificationReport(
-        max_trace_err=max_trace,
-        max_bloch_err=max_bloch,
-        alice_marginal_err=alice_err,
-        bob_marginal_err=bob_err,
+        max_trace_err=float(0.5 * (abs(q.sum() - 1.0) + np.abs(bias).max())),
+        max_bloch_err=float(max_bloch),
+        alice_marginal_err=float(np.abs(bias).mean()),
+        bob_marginal_err=float(np.linalg.norm(bob)),
+        certificate_err=float(per_region.max()),
         n_directions=len(x),
+        worst_face=worst_face,
     )
 
 

@@ -19,7 +19,6 @@ from . import serialize
 from .boundary import (
     DEFAULT_T0Z_MIN,
     SOLVER_TOL,
-    axial_boundary_solve,
     bisect,
     norm_integral,
     sample_axial_family,
@@ -32,7 +31,7 @@ from .geometry import (
     quaternion_matrices,
     special_orientations,
 )
-from .lhsmodel import FiniteLhsModel, build_icosahedron_model, entropy_bits
+from .lhsmodel import FiniteLhsModel, build_icosahedron_model
 from .qstate import DiagMat3, concurrence_axial
 
 REGIMES = ("vertex", "face", "edge")
@@ -137,29 +136,33 @@ def optimal_axial_model(t0x: float, t0z: float) -> tuple[FiniteLhsModel, str]:
     return model, REGIMES[idx]
 
 
+def _axial_point(t0z: float, t0x: float, rotated: list[np.ndarray]) -> AxialPoint:
+    """Classify and size the model at one boundary point; ``rotated`` holds
+    the icosahedron vertices at the three special orientations."""
+    s_values = analytic_norm_constants(t0x, t0z)
+    idx = best_regime(s_values)
+    t_max = s_values[idx] * VISIBILITY_PER_S
+    q = np.linalg.norm(rotated[idx] * np.array([t0x, t0x, t0z]), axis=1)
+    q /= q.sum()
+    return AxialPoint(
+        t0z=float(t0z), t0x=float(t0x),
+        s_vertex=s_values[0], s_face=s_values[1], s_edge=s_values[2],
+        s_best=s_values[idx], regime=REGIMES[idx], t_max=float(t_max),
+        entropy_bits=float(-(q * np.log2(q)).sum()),
+        concurrence=float(concurrence_axial(DiagMat3(t0x, t0x, t0z), t_max)),
+    )
+
+
+def _special_vertices() -> list[np.ndarray]:
+    return [icosahedron(rot).vertices for rot in special_orientations()]
+
+
 def scan_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
                       tol: float = SOLVER_TOL) -> list[AxialPoint]:
     """Solve, classify, and size the model at n points of the boundary."""
     curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol)
-    orientations = special_orientations()
-    rotated = [icosahedron(rot).vertices for rot in orientations]
-    points = []
-    for t0z, t0x in zip(curve.t0z, curve.t0x):
-        s_values = analytic_norm_constants(t0x, t0z)
-        idx = best_regime(s_values)
-        t_max = s_values[idx] * VISIBILITY_PER_S
-        diag = np.array([t0x, t0x, t0z])
-        q = np.linalg.norm(rotated[idx] * diag, axis=1)
-        q /= q.sum()
-        entropy = float(-(q * np.log2(q)).sum())
-        conc = concurrence_axial(DiagMat3(t0x, t0x, t0z), t_max)
-        points.append(AxialPoint(
-            t0z=float(t0z), t0x=float(t0x),
-            s_vertex=s_values[0], s_face=s_values[1], s_edge=s_values[2],
-            s_best=s_values[idx], regime=REGIMES[idx], t_max=float(t_max),
-            entropy_bits=entropy, concurrence=float(conc),
-        ))
-    return points
+    rotated = _special_vertices()
+    return [_axial_point(t0z, t0x, rotated) for t0z, t0x in zip(curve.t0z, curve.t0x)]
 
 
 def zero_entanglement_interval(points: list[AxialPoint],
@@ -208,21 +211,14 @@ def face_edge_crossover() -> float:
     return float(1.0 / norm_integral(np.sqrt(x), 1.0))
 
 
-def werner_reference(tol: float = SOLVER_TOL) -> dict:
-    """Visibility, entropy, and concurrence at the isotropic boundary point,
-    computed through the same pipeline as the scan."""
-    t0z = 0.5
-    t0x = axial_boundary_solve(t0z, tol=tol)
-    s_values = analytic_norm_constants(t0x, t0z)
-    idx = best_regime(s_values)
-    model = build_icosahedron_model(DiagMat3(t0x, t0x, t0z),
-                                    special_orientations()[idx])
-    return {
-        "t": model.visibility,
-        "entropy": entropy_bits(model),
-        "concurrence": float(concurrence_axial(DiagMat3(t0x, t0x, t0z),
-                                               model.visibility)),
-    }
+def werner_reference() -> dict:
+    """Visibility, entropy, and concurrence at the isotropic boundary point
+    t0x = t0z = 1/2 (the vertex/face crossover), computed through the same
+    pipeline as the scan."""
+    t0 = vertex_face_crossover()
+    point = _axial_point(t0, t0, _special_vertices())
+    return {"t": point.t_max, "entropy": point.entropy_bits,
+            "concurrence": point.concurrence}
 
 
 def scan_csv(points: list[AxialPoint]) -> str:
@@ -236,11 +232,11 @@ def scan_csv(points: list[AxialPoint]) -> str:
     return serialize.csv_text(header, rows)
 
 
-def scan_summary(points: list[AxialPoint], tol: float = SOLVER_TOL) -> dict:
+def scan_summary(points: list[AxialPoint]) -> dict:
     interval = zero_entanglement_interval(points)
     return {
         "min_entropy_bits": min(p.entropy_bits for p in points),
         "regime_crossovers": [vertex_face_crossover(), face_edge_crossover()],
         "zero_entanglement_interval": list(interval) if interval else None,
-        "werner_refs": werner_reference(tol=tol),
+        "werner_refs": werner_reference(),
     }

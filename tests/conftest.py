@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finitelhs.geometry import Polyhedron
 from finitelhs.qstate import DiagMat3
 
 # correlation diagonals of the four Bell states, in the weight order used
@@ -43,4 +44,17 @@ def as_diag(row) -> DiagMat3:
 
 def random_unit_vectors(rng, n):
     x = rng.standard_normal((n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def tie_directions(p: Polyhedron, lam: float) -> np.ndarray:
+    """Directions whose ray leaves through more than one face: the
+    vertices and their antipodes, the face centres, and the points at
+    1/4, 1/2, 3/4 and ``lam`` of every triangle edge, which include the
+    diagonals of a cube's squares."""
+    a, b, c = np.moveaxis(p.vertices[p.faces], 1, 0)
+    points = [p.vertices, -p.vertices, a + b + c]
+    for t in (0.25, 0.5, 0.75, lam):
+        points += [(1.0 - t) * e + t * f for e, f in ((a, b), (b, c), (c, a))]
+    x = np.vstack(points)
     return x / np.linalg.norm(x, axis=1, keepdims=True)

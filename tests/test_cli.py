@@ -32,6 +32,10 @@ def test_model_icosa_werner_report(capsys):
     assert doc["residuals"]["max_bloch_err"] < 1e-10
     assert doc["residuals"]["max_trace_err"] < 1e-10
     assert doc["residuals"]["n_directions"] == 1024
+    assert doc["residuals"]["certificate_err"] <= 1e-15
+    assert doc["worst"]["residual"] in doc["residuals"]
+    assert 0 <= doc["worst"]["face"] < 20
+    assert list(doc) == ["t_max", "t", "entropy_bits", "residuals", "worst", "config"]
     assert doc["config"]["orientation"] == "vertex"
     assert doc["config"]["direction_seed"] == 0
     assert len(doc["config"]["quaternion"]) == 4
@@ -55,6 +59,8 @@ def test_model_icosa_writes_model_file(capsys, tmp_path):
     vdoc = serialize.loads(out2)
     assert vdoc["t"] == pytest.approx(doc["t"], abs=0)
     assert vdoc["residuals"]["max_bloch_err"] < 1e-10
+    assert vdoc["residuals"]["certificate_err"] <= 1e-15
+    assert 0 <= vdoc["worst"]["face"] < 20
 
 
 def test_model_icosa_submaximal_visibility(capsys):
@@ -156,6 +162,8 @@ def test_model_tetra(capsys):
     assert doc["t"] == 1.0
     assert doc["entropy_bits"] == 2.0
     assert doc["residuals"]["max_bloch_err"] < 1e-10
+    assert doc["residuals"]["certificate_err"] <= 1e-15
+    assert doc["worst"]["face"] is None
     assert doc["config"]["t"] == [0.5, 0.25, 0.25]
 
 

@@ -12,9 +12,9 @@ from finitelhs.geometry import (
     ICOSAHEDRON_SIGN_SUM,
     Polyhedron,
     Rotation,
-    convex_decompose,
     cube,
     decompose_directions,
+    exit_faces,
     fibonacci_sphere,
     gamma_identity_check,
     icosahedron,
@@ -28,9 +28,10 @@ from finitelhs.geometry import (
     tetrahedron,
 )
 
-from conftest import random_unit_vectors
+from conftest import random_unit_vectors, tie_directions
 from convex_hull_oracle import PLANE_TOL, hull_facets
 from decompose_oracle import all_faces_decompose
+from response_oracle import convex_decompose
 
 
 def test_icosahedron_basic_shape():
@@ -165,19 +166,6 @@ def test_decompose_rejects_malformed_directions(x, message):
         decompose_directions(icosahedron(), x)
 
 
-def tie_directions(p: Polyhedron, lam: float) -> np.ndarray:
-    """Directions whose ray leaves through more than one face: the
-    vertices and their antipodes, the face centres, and the points at
-    1/4, 1/2, 3/4 and ``lam`` of every triangle edge, which include the
-    diagonals of a cube's squares."""
-    a, b, c = np.moveaxis(p.vertices[p.faces], 1, 0)
-    points = [p.vertices, -p.vertices, a + b + c]
-    for t in (0.25, 0.5, 0.75, lam):
-        points += [(1.0 - t) * e + t * f for e, f in ((a, b), (b, c), (c, a))]
-    x = np.vstack(points)
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([icosahedron, cube, octahedron]),
        st.tuples(*[st.floats(-1.0, 1.0)] * 4),
@@ -209,7 +197,7 @@ def test_decompose_rejects_a_corrupted_face_frame():
     holed = Polyhedron(vertices=ico.vertices, faces=faces, inradius=ico.inradius, kind="holed")
     centre = ico.vertices[ico.faces[0]].sum(axis=0)
     x = np.vstack([ico.vertices, centre / np.linalg.norm(centre)])
-    for decompose in (decompose_directions, all_faces_decompose):
+    for decompose in (decompose_directions, all_faces_decompose, exit_faces):
         with pytest.raises(RuntimeError, match="ray-face intersection failed"):
             decompose(holed, x)
 

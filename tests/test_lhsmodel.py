@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from finitelhs.geometry import (
     Rotation,
-    convex_decompose,
     cube,
     decompose_directions,
+    exit_faces,
     icosahedron,
     octahedron,
     polyhedron_from_vertices,
     random_rotation,
     special_orientations,
     tetrahedron,
+    vertex_signs,
 )
 from finitelhs.lhsmodel import (
     Atom,
@@ -26,13 +29,20 @@ from finitelhs.lhsmodel import (
     model_from_json,
     model_to_dict,
     model_to_json,
-    response_probability,
-    response_value,
+    response_maps,
     verify_model,
 )
 from finitelhs.qstate import DiagMat3, Measurement, TState
 
-from conftest import as_diag, random_axial_physical_diag, random_unit_vectors
+from conftest import (
+    as_diag,
+    random_axial_physical_diag,
+    random_physical_diag,
+    random_unit_vectors,
+    tie_directions,
+)
+from decompose_oracle import all_faces_decompose
+from response_oracle import convex_decompose, response_probability, response_value
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 GAMMA = 1 + np.sqrt(5)
@@ -373,7 +383,10 @@ def test_verification_report_shape(rng):
     report = verify_model(model, model.simulated_state(), random_unit_vectors(rng, 64))
     d = report.as_dict()
     assert set(d) == {"max_trace_err", "max_bloch_err", "alice_marginal_err",
-                      "bob_marginal_err", "n_directions"}
+                      "bob_marginal_err", "certificate_err", "n_directions"}
+    assert set(report.worst()) == {"residual", "face"}
+    assert report.worst()["residual"] in d
+    assert 0 <= report.worst()["face"] < 20
     assert report.max_residual >= max(d["max_trace_err"], d["max_bloch_err"])
     assert all(v >= 0 for k, v in d.items())
 
@@ -409,10 +422,102 @@ def test_verify_model_rejects_non_finite_directions(bad):
 
 @pytest.mark.filterwarnings("error")
 def test_max_residual_keeps_nan():
-    for field in range(4):
-        errs = [0.0, 1e-3, 0.0, 0.0]
+    for field in range(5):
+        errs = [0.0, 1e-3, 0.0, 0.0, 0.0]
         errs[field] = np.nan
         report = VerificationReport(*errs, n_directions=1)
         assert np.isnan(report.max_residual)
         assert not report.max_residual < 1e-8
-    assert VerificationReport(0.0, 2e-3, 1e-3, 0.0, n_directions=1).max_residual == 2e-3
+    report = VerificationReport(0.0, 2e-3, 1e-3, 0.0, 3e-3, n_directions=1)
+    assert report.max_residual == 3e-3
+    assert report.worst() == {"residual": "certificate_err", "face": None}
+
+
+QUATS = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron]), QUATS,
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(icosahedron, (1.0, 0.0, 0.0, 0.0), 0, 0.5, 1.0)
+@example(cube, (1.0, 0.0, 0.0, 0.0), 0, 0.5, 1.0)
+@example(octahedron, (1.0, 0.0, 0.0, 0.0), 0, 0.5, 1.0)
+def test_face_maps_match_all_faces_oracle(solid, quat, seed, lam, fraction):
+    """x @ A[exit face] is the sign-mixture response of the full convex
+    decomposition, on random directions and on directions that tie
+    between faces: vertices, edge points and the diagonals of a cube's
+    squares, where the argmax alone would name the wrong piece."""
+    p = solid(Rotation.from_quat(quat))
+    cap = build_polyhedron_model(DiagMat3(-0.5, -0.4, -0.3), p)
+    model = build_polyhedron_model(DiagMat3(-0.5, -0.4, -0.3), p,
+                                   visibility=fraction * cap.visibility)
+    x = np.vstack([random_unit_vectors(np.random.default_rng(seed), 300),
+                   tie_directions(p, lam)])
+    got = np.einsum("ni,nia->na", x, response_maps(model)[exit_faces(p, x)])
+    signs = vertex_signs(p.vertices, model._preimages)
+    want = model.response.scale * (all_faces_decompose(p, x) @ signs)
+    assert np.abs(got - want).max() <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron]), QUATS,
+       st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.9]))
+def test_certificate_is_exact_on_rotated_solids(solid, quat, seed, fraction):
+    """At t_max and below it, on every face of every orientation.  The
+    target is physical, so t = 1 is the cap where t_max exceeds it."""
+    diag = random_physical_diag(np.random.default_rng(seed))[0]
+    assume(np.abs(diag).min() > 1e-3)
+    p = solid(Rotation.from_quat(quat))
+    cap = build_polyhedron_model(as_diag(diag), p)
+    model = build_polyhedron_model(as_diag(diag), p,
+                                   visibility=fraction * min(cap.visibility, 1.0))
+    report = verify_model(model, model.simulated_state())
+    assert report.certificate_err <= 1e-15
+    assert report.max_residual < 1e-14
+    assert 0 <= report.worst_face < len(p.faces)
+
+
+def _perturbed(model: FiniteLhsModel, what: str, delta: float) -> FiniteLhsModel:
+    """``model`` with weight ``delta`` moved from atom 0 to atom 1, or atom
+    0's Bloch vector turned by about ``delta`` (a sign-mixture atom's
+    preimage turns with it, as the model requires), or the same model
+    claiming visibility (1 - delta) t."""
+    atoms = list(model.atoms)
+    a, b = atoms[0], atoms[1]
+    if what == "q":
+        atoms[0] = Atom(a.weight - delta, a.bloch, a.preimage, a.alice_bloch)
+        atoms[1] = Atom(b.weight + delta, b.bloch, b.preimage, b.alice_bloch)
+    elif what == "lambda":
+        turn = np.cross(a.bloch, [0.6, 0.0, 0.8])
+        bloch = a.bloch + delta * turn / np.linalg.norm(turn)
+        bloch /= np.linalg.norm(bloch)
+        if a.alice_bloch is None:
+            pre = bloch / model.target.as_array()
+            atoms[0] = Atom(a.weight, bloch, pre / np.linalg.norm(pre))
+        else:
+            atoms[0] = Atom(a.weight, bloch, a.preimage, a.alice_bloch)
+    else:
+        return FiniteLhsModel(atoms=model.atoms, response=model.response,
+                              target=model.target, visibility=(1 - delta) * model.visibility)
+    return FiniteLhsModel(atoms=tuple(atoms), response=model.response,
+                          target=model.target, visibility=model.visibility)
+
+
+@pytest.mark.parametrize("what", ["q", "lambda", "t"])
+@pytest.mark.parametrize("kind", ["icosahedron", "cube", "octahedron", "tetrahedron"])
+def test_perturbed_models_fail_certificate_and_grid(kind, what, rng):
+    if kind == "tetrahedron":
+        model = build_separable_tetrahedron_model(DiagMat3(-0.25, 0.35, -0.4))
+    else:
+        maker = {"icosahedron": icosahedron, "cube": cube, "octahedron": octahedron}[kind]
+        model = build_polyhedron_model(DiagMat3(-0.5, -0.4, -0.3), maker(random_rotation(rng)))
+    x = random_unit_vectors(rng, 2000)
+    exact = verify_model(model, model.simulated_state(), x)
+    assert exact.max_residual < 1e-14
+    bad = _perturbed(model, what, 1e-3)
+    report = verify_model(bad, bad.simulated_state(), x)
+    grid = max(report.max_trace_err, report.max_bloch_err)
+    assert report.certificate_err > 1e-5
+    assert grid > 1e-5
+    # the certificate bounds the grid's trace and Bloch residuals
+    assert grid <= report.certificate_err + 0.5 * report.bob_marginal_err + 1e-15

@@ -230,6 +230,15 @@ def test_werner_reference_values():
     assert ref["concurrence"] == pytest.approx(0.1428889727400946, abs=1e-10)
 
 
+def test_werner_reference_is_the_closed_form():
+    """The isotropic boundary point is exactly t0x = t0z = 1/2, so the
+    reference visibility is (1 + sqrt5) l / 3 to rounding, with no
+    boundary solve in between."""
+    l = np.sqrt((5.0 + 2.0 * np.sqrt(5.0)) / 15.0)
+    exact = (1.0 + np.sqrt(5.0)) * l / 3.0
+    assert abs(werner_reference()["t"] - exact) <= 2 * np.spacing(exact)
+
+
 def test_scan_csv_format(pts50):
     text = scan_csv(pts50[:3])
     lines = text.strip().split("\n")
