@@ -22,7 +22,7 @@ PRODUCT_TOL = 1e-12
 _E = np.eye(4, dtype=complex)
 
 # Columns: (00+11), (00-11), (01+10), (01-10), all over sqrt(2).  This is
-# the same order bell_weights uses for its entries.
+# the same order qstate.bell_weights_of_diag uses for its entries.
 BELL_BASIS = np.stack([
     (_E[0] + _E[3]) / np.sqrt(2.0),
     (_E[0] - _E[3]) / np.sqrt(2.0),

@@ -279,21 +279,13 @@ def vertex_signs(vertices: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.where(np.abs(dots) <= SIGN_TOL, 0.0, np.sign(dots))
 
 
-def gamma_identity_check(p: Polyhedron) -> float:
-    """Max residual of  sum_j sign(v_j . v_i) v_j = 2(1+sqrt5) v_i  over vertices.
-
-    Near zero only for the icosahedron; large values flag other solids.
-    """
-    v = p.vertices
-    sums = vertex_signs(v, v) @ v
-    return float(np.linalg.norm(sums - ICOSAHEDRON_SIGN_SUM * v, axis=1).max())
-
-
 def sign_sum_constant(p: Polyhedron, tol: float = 1e-9) -> float:
     """The constant c with  sum_j sign(v_j . v_i) v_j = c v_i  for every vertex.
 
-    Raises ValueError when no single constant fits; that rules the
-    polyhedron out as a response-mixture carrier.
+    c is 2(1 + sqrt5) = ICOSAHEDRON_SIGN_SUM for any icosahedron, 4 for a
+    cube, 2 for an octahedron or a tetrahedron.  Raises ValueError when no
+    single constant fits; that rules the polyhedron out as a
+    response-mixture carrier.
     """
     v = p.vertices
     sums = vertex_signs(v, v) @ v

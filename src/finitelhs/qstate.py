@@ -134,59 +134,6 @@ def max_physical_visibility(corr: DiagMat3) -> float:
     return math.inf if slope <= 0.0 else (1.0 + 4.0 * PHYSICALITY_TOL) / slope
 
 
-@dataclass(frozen=True, eq=False)
-class Measurement:
-    """Projective qubit measurement along ``axis`` with outcome +1 or -1."""
-
-    axis: np.ndarray
-    outcome: int
-
-    def __post_init__(self) -> None:
-        axis = as_unit_vector(self.axis, "measurement axis")
-        object.__setattr__(self, "axis", axis)
-        if self.outcome not in (1, -1):
-            raise ValueError(f"measurement outcome must be +1 or -1, got {self.outcome!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class HalfState:
-    """An unnormalized qubit state ``(trace * I + bloch . sigma) / 2``."""
-
-    trace: float
-    bloch: np.ndarray
-
-    def __post_init__(self) -> None:
-        bloch = np.asarray(self.bloch, dtype=float)
-        if bloch.shape != (3,):
-            raise ValueError(f"bloch must have shape (3,), got {bloch.shape}")
-        object.__setattr__(self, "bloch", bloch)
-        if self.trace < -PHYSICALITY_TOL:
-            raise ValueError(f"trace must be nonnegative, got {self.trace!r}")
-        if np.linalg.norm(bloch) > self.trace + PHYSICALITY_TOL:
-            raise ValueError(
-                f"|bloch| = {np.linalg.norm(bloch)!r} exceeds trace = {self.trace!r}"
-            )
-
-
-def assemblage(state: TState, m: Measurement) -> HalfState:
-    """Bob's unnormalized conditional state for Alice's measurement ``m``.
-
-    For a state with diagonal correlations and no local terms, the result
-    always has trace 1/2 and Bloch part ``(a/2) * corr @ axis``.
-    """
-    s = 0.5 * m.outcome * state.corr.apply(m.axis)
-    return HalfState(trace=0.5, bloch=s)
-
-
-def bell_weights(state: TState) -> np.ndarray:
-    """Eigenvalues of the 4x4 density matrix, summing to 1.
-
-    Order: ((00+11), (00-11), (01+10), (01-10)), see
-    :func:`bell_weights_of_diag`.
-    """
-    return bell_weights_of_diag(state.corr.as_array())
-
-
 def concurrence_axial(corr: DiagMat3, visibility: float, tol: float = UNIT_TOL) -> float:
     """Concurrence of the state with correlation ``visibility * corr``.
 
@@ -200,11 +147,11 @@ def concurrence_axial(corr: DiagMat3, visibility: float, tol: float = UNIT_TOL) 
         )
     if visibility < 0:
         raise ValueError(f"visibility must be nonnegative, got {visibility!r}")
-    value = (2.0 * visibility * abs(corr.dx) + visibility * abs(corr.dz) - 1.0) / 2.0
-    return max(0.0, value)
+    return float(axial_concurrence(abs(corr.dx), abs(corr.dz), visibility))
 
 
-def is_on_separable_boundary(state: TState, tol: float = 1e-9) -> bool:
-    """Whether |dx| + |dy| + |dz| equals 1 within tol."""
-    a = np.abs(state.corr.as_array()).sum()
-    return bool(abs(a - 1.0) <= tol)
+def axial_concurrence(a, z, visibility):
+    """The closed form of :func:`concurrence_axial` without its checks,
+    elementwise in the magnitudes ``a = |dx| = |dy|``, ``z = |dz|`` and the
+    visibility."""
+    return np.maximum(0.0, (2.0 * visibility * a + visibility * z - 1.0) / 2.0)

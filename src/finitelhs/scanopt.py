@@ -7,11 +7,19 @@ normalization S = 12 / sum_i |T0 v_i|.  The visibility is then
 S * gamma * l / 6 with gamma = 1 + sqrt5 and l the icosahedron inradius.
 S is homogeneous of degree -1 in (t0x, t0z), so the regime crossovers are
 solved in r = t0x / t0z alone and put on the boundary by homogeneity.
+
+A scan solves the boundary on its t0z grid, then classifies and sizes every
+grid point in one array pass (``_axial_points``): the three S constants,
+the regime, t_max, the weight entropy and the concurrence.  What does not
+depend on the grid, the icosahedron vertices at the three special
+orientations and the two crossovers, is computed on first use and kept for
+the life of the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,7 +40,7 @@ from .geometry import (
     special_orientations,
 )
 from .lhsmodel import FiniteLhsModel, build_icosahedron_model
-from .qstate import DiagMat3, concurrence_axial
+from .qstate import DiagMat3, axial_concurrence
 
 REGIMES = ("vertex", "face", "edge")
 
@@ -45,10 +53,14 @@ _BETA_MINUS = 2.5 - np.sqrt(5.0)
 VISIBILITY_PER_S = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 12.0
 
 
-def analytic_norm_constants(t0x: float, t0z: float) -> tuple[float, float, float]:
+def analytic_norm_constants(t0x, t0z) -> tuple:
     """S = 12 / sum_i |T0 v_i| for the vertex-, face-, and edge-aligned
-    icosahedron, as closed forms in X = t0x^2 and Z = t0z^2."""
-    if t0x <= 0 or t0z <= 0:
+    icosahedron, as closed forms in X = t0x^2 and Z = t0z^2.
+
+    Elementwise: three floats for scalar entries, three arrays otherwise.
+    """
+    t0x, t0z = np.asarray(t0x, dtype=float), np.asarray(t0z, dtype=float)
+    if (t0x <= 0).any() or (t0z <= 0).any():
         raise ValueError(f"axial entries must be positive, got ({t0x!r}, {t0z!r})")
     big_x, big_z = t0x * t0x, t0z * t0z
     s_vertex = 6.0 / (np.sqrt(big_z) + np.sqrt(20.0 * big_x + 5.0 * big_z))
@@ -61,14 +73,9 @@ def analytic_norm_constants(t0x: float, t0z: float) -> tuple[float, float, float
         + np.sqrt(big_x * _ALPHA_PLUS + big_z * _ALPHA_MINUS)
         + np.sqrt(big_x * _ALPHA_MINUS + big_z * _ALPHA_PLUS)
     )
-    return float(s_vertex), float(s_face), float(s_edge)
-
-
-def max_visibility(target: DiagMat3, orientation: Rotation) -> float:
-    """Maximum visibility of the icosahedron model at one orientation."""
-    verts = orientation.apply(icosahedron().vertices)
-    norms = np.linalg.norm(verts * target.as_array(), axis=1)
-    return float(ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / norms.sum())
+    if s_vertex.ndim == 0:
+        return float(s_vertex), float(s_face), float(s_edge)
+    return s_vertex, s_face, s_edge
 
 
 def random_orientation_search(target: DiagMat3, n_rotations: int,
@@ -111,15 +118,18 @@ class AxialPoint:
 REGIME_TIE_TOL = 1e-9
 
 
-def best_regime(s_values: tuple[float, float, float]) -> int:
+def best_regime(s_values):
     """Index of the winning regime, ties going to the earlier entry.
 
     Near-ties within REGIME_TIE_TOL (notably the isotropic point, where all
     three constants are equal and solver noise splits them) resolve in the
-    order vertex > face > edge.
+    order vertex > face > edge.  Elementwise over the trailing axes of
+    ``s_values`` = (s_vertex, s_face, s_edge): an int for three scalars,
+    an index array for three arrays.
     """
     s = np.asarray(s_values)
-    return int(np.argmax(s >= s.max() - REGIME_TIE_TOL))
+    idx = np.argmax(s >= s.max(axis=0) - REGIME_TIE_TOL, axis=0)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def optimal_axial_model(t0x: float, t0z: float) -> tuple[FiniteLhsModel, str]:
@@ -136,33 +146,39 @@ def optimal_axial_model(t0x: float, t0z: float) -> tuple[FiniteLhsModel, str]:
     return model, REGIMES[idx]
 
 
-def _axial_point(t0z: float, t0x: float, rotated: list[np.ndarray]) -> AxialPoint:
-    """Classify and size the model at one boundary point; ``rotated`` holds
-    the icosahedron vertices at the three special orientations."""
+@cache
+def _special_vertices() -> np.ndarray:
+    """The icosahedron vertices at the three special orientations, as one
+    read-only (3, 12, 3) array, built on first use."""
+    vertices = np.stack([icosahedron(rot).vertices for rot in special_orientations()])
+    vertices.flags.writeable = False
+    return vertices
+
+
+def _axial_points(t0z: np.ndarray, t0x: np.ndarray) -> list[AxialPoint]:
+    """Classify and size the model at the boundary points (t0z, t0x), all
+    at once: the regime with the largest S, t_max = S * VISIBILITY_PER_S,
+    the entropy of the weights |T0 v_i| / sum_j |T0 v_j| over that regime's
+    vertices, and the concurrence at t_max."""
     s_values = analytic_norm_constants(t0x, t0z)
     idx = best_regime(s_values)
-    t_max = s_values[idx] * VISIBILITY_PER_S
-    q = np.linalg.norm(rotated[idx] * np.array([t0x, t0x, t0z]), axis=1)
-    q /= q.sum()
-    return AxialPoint(
-        t0z=float(t0z), t0x=float(t0x),
-        s_vertex=s_values[0], s_face=s_values[1], s_edge=s_values[2],
-        s_best=s_values[idx], regime=REGIMES[idx], t_max=float(t_max),
-        entropy_bits=float(-(q * np.log2(q)).sum()),
-        concurrence=float(concurrence_axial(DiagMat3(t0x, t0x, t0z), t_max)),
+    s_best = np.choose(idx, s_values)
+    t_max = s_best * VISIBILITY_PER_S
+    diag = np.stack([t0x, t0x, t0z], axis=1)
+    q = np.linalg.norm(_special_vertices()[idx] * diag[:, None, :], axis=2)
+    q /= q.sum(axis=1, keepdims=True)
+    columns = (
+        t0z, t0x, *s_values, s_best, [REGIMES[i] for i in idx], t_max,
+        -(q * np.log2(q)).sum(axis=1), axial_concurrence(t0x, t0z, t_max),
     )
-
-
-def _special_vertices() -> list[np.ndarray]:
-    return [icosahedron(rot).vertices for rot in special_orientations()]
+    return [AxialPoint(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def scan_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
                       tol: float = SOLVER_TOL) -> list[AxialPoint]:
     """Solve, classify, and size the model at n points of the boundary."""
     curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol)
-    rotated = _special_vertices()
-    return [_axial_point(t0z, t0x, rotated) for t0z, t0x in zip(curve.t0z, curve.t0x)]
+    return _axial_points(curve.t0z, curve.t0x)
 
 
 def zero_entanglement_interval(points: list[AxialPoint],
@@ -181,6 +197,7 @@ def zero_entanglement_interval(points: list[AxialPoint],
     return best
 
 
+@cache
 def vertex_face_crossover() -> float:
     """The t0z on the boundary where the vertex and face maxima exchange:
     the isotropic point t0x = t0z, at t0z = 1 / norm_integral(1, 1) = 1/2.
@@ -200,6 +217,7 @@ def _face_edge_quintic(x):
     return ((((479.0 * x + 1605.0) * x - 47810.0) * x + 25010.0) * x - 3405.0) * x + 121.0
 
 
+@cache
 def face_edge_crossover() -> float:
     """The t0z on the boundary where the face and edge maxima exchange.
 
@@ -215,8 +233,8 @@ def werner_reference() -> dict:
     """Visibility, entropy, and concurrence at the isotropic boundary point
     t0x = t0z = 1/2 (the vertex/face crossover), computed through the same
     pipeline as the scan."""
-    t0 = vertex_face_crossover()
-    point = _axial_point(t0, t0, _special_vertices())
+    t0 = np.array([vertex_face_crossover()])
+    point = _axial_points(t0, t0)[0]
     return {"t": point.t_max, "entropy": point.entropy_bits,
             "concurrence": point.concurrence}
 

@@ -5,7 +5,7 @@ from finitelhs.geometry import Polyhedron
 from finitelhs.qstate import DiagMat3
 
 # correlation diagonals of the four Bell states, in the weight order used
-# by qstate.bell_weights; every physical T-state is a convex mix of these
+# by qstate.bell_weights_of_diag; every physical T-state is a convex mix of these
 BELL_CORNERS = np.array([
     [1.0, -1.0, 1.0],
     [-1.0, 1.0, 1.0],

@@ -11,7 +11,9 @@ import numpy as np
 
 from finitelhs.geometry import Polyhedron, decompose_directions, vertex_signs
 from finitelhs.lhsmodel import Atom, FiniteLhsModel, SignMixture
-from finitelhs.qstate import Measurement, as_unit_vector
+from finitelhs.qstate import as_unit_vector
+
+from qstate_oracle import Measurement
 
 
 def convex_decompose(p: Polyhedron, x) -> np.ndarray:

@@ -26,9 +26,9 @@ from finitelhs.geometry import (
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
     decompose_directions,
-    gamma_identity_check,
     icosahedron,
     random_rotation,
+    sign_sum_constant,
     special_orientations,
     tetrahedron,
 )
@@ -38,12 +38,11 @@ from finitelhs.lhsmodel import (
     entropy_bits,
     verify_model,
 )
-from finitelhs.qstate import DiagMat3, TState, bell_weights, concurrence_axial
+from finitelhs.qstate import DiagMat3, TState, concurrence_axial
 from finitelhs.scanopt import (
     analytic_norm_constants,
     best_regime,
     face_edge_crossover,
-    max_visibility,
     optimal_axial_model,
     random_orientation_search,
     scan_axial_family,
@@ -51,6 +50,8 @@ from finitelhs.scanopt import (
 )
 
 from boundary_oracle import rg_norm_integral
+from qstate_oracle import bell_weights
+from scan_oracle import max_visibility
 from sphere_quadrature import DEFAULT_QUADRATURE, quadrature_norm_integral
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
@@ -239,8 +240,10 @@ def test_criterion_08_decomposition():
 
 def test_criterion_09_identities():
     rng = np.random.default_rng(31)
-    gamma_worst = max(gamma_identity_check(icosahedron(random_rotation(rng)))
-                      for _ in range(100))
+    # at tol=1e-12 the identity sum_j sign(v_j . v_i) v_j = c v_i holds to
+    # 2e-12 plus the gap to 2(1+sqrt5)
+    gamma_worst = max(abs(sign_sum_constant(icosahedron(random_rotation(rng)), tol=1e-12)
+                          - ICOSAHEDRON_SIGN_SUM) for _ in range(100))
 
     ico = icosahedron()
     v = ico.vertices
@@ -261,7 +264,7 @@ def test_criterion_09_identities():
         w_big @ v - ICOSAHEDRON_INRADIUS * xs_big, axis=1).max())
     sums = float(np.abs(w_big.sum(axis=1) - 1.0).max())
 
-    ok = (gamma_worst < 1e-10 and frame_worst < 1e-10 and tetra_frame_worst < 1e-10
+    ok = (gamma_worst < 1e-12 and frame_worst < 1e-10 and tetra_frame_worst < 1e-10
           and nonneg >= 0.0 and recon < 1e-10 and sums < 1e-10)
     report(9, ok, f"gamma {gamma_worst:.1e}, response frame {frame_worst:.1e}, "
                   f"tetrahedron frame {tetra_frame_worst:.1e}, decomposition "
@@ -271,7 +274,7 @@ def test_criterion_09_identities():
 def test_criterion_10_determinism(tmp_path):
     paths = [tmp_path / "run1.csv", tmp_path / "run2.csv"]
     for p in paths:
-        code = cli_main(["scan", "--n", "60", "--seed", "0", "--out", str(p)])
+        code = cli_main(["scan", "--n", "60", "--out", str(p)])
         assert code == 0
     same = paths[0].read_bytes() == paths[1].read_bytes()
     report(10, same, f"two scan runs, byte-identical: {same}")

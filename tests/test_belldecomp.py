@@ -13,9 +13,10 @@ from finitelhs.belldecomp import (
 )
 from finitelhs.geometry import tetrahedron
 from finitelhs.lhsmodel import Atom, FiniteLhsModel, LinearResponse, verify_model
-from finitelhs.qstate import DiagMat3, TState, bell_weights
+from finitelhs.qstate import DiagMat3, TState
 
 from conftest import as_diag, random_physical_diag, random_unit_vectors
+from qstate_oracle import bell_weights
 
 
 def sorted_rows(arr):

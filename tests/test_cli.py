@@ -8,6 +8,7 @@ import pytest
 
 import finitelhs
 from finitelhs import serialize
+from finitelhs.boundary import norm_integral, sample_axial_family
 from finitelhs.cli import main
 from finitelhs.geometry import ICOSAHEDRON_INRADIUS, ICOSAHEDRON_SIGN_SUM
 from finitelhs.lhsmodel import model_from_json, verify_model
@@ -202,6 +203,42 @@ def test_boundary_validate_and_meta(capsys, tmp_path):
     assert meta["subcommand"] == "boundary"
     assert meta["n"] == 8
     assert meta["integral"] == "carlson_rg"
+    curve = sample_axial_family(8)
+    residuals = np.abs(norm_integral(curve.t0x, curve.t0z) - 1.0)
+    assert meta["validation"] == {"max_abs_n_minus_1": residuals.max(),
+                                  "row": int(np.argmax(residuals))}
+    assert 0.0 < residuals.max() <= 1e-10
+
+
+def test_boundary_without_validate_writes_no_validation(capsys, tmp_path):
+    path = tmp_path / "curve.csv"
+    assert run(capsys, ["boundary", "--n", "8", "--out", str(path)])[0] == 0
+    meta = serialize.loads((tmp_path / "curve.csv.meta.json").read_text())
+    assert "validation" not in meta
+
+
+def test_boundary_validate_names_the_failing_row(capsys, tmp_path, monkeypatch):
+    """The 1e-8 gate fails at the row where the re-evaluated integral is
+    furthest from 1, and the sidecar records that row."""
+    def off_at_row_5(a, z):
+        values = finitelhs.boundary.norm_integral(a, z)
+        values[5] += 2e-8
+        return values
+
+    monkeypatch.setattr(finitelhs.cli, "norm_integral", off_at_row_5)
+    path = tmp_path / "curve.csv"
+    code, _, err = run(capsys, ["boundary", "--n", "8", "--validate", "--out", str(path)])
+    assert code == 1
+    assert "at row 5" in err
+    validation = serialize.loads((tmp_path / "curve.csv.meta.json").read_text())["validation"]
+    assert validation["row"] == 5
+    assert 1e-8 < validation["max_abs_n_minus_1"] < 3e-8
+
+
+def test_scan_rejects_the_removed_seed_flag(capsys):
+    code, _, err = run(capsys, ["scan", "--n", "3", "--seed", "0"])
+    assert code == 2
+    assert "--seed" in err
 
 
 def test_boundary_and_scan_below_the_bracket_residual(capsys, tmp_path):
@@ -234,8 +271,9 @@ def test_scan_writes_sidecars(capsys, tmp_path):
     assert lines[0].startswith("t0z,t0x,s_vertex")
     assert len(lines) == 26
     meta = serialize.loads((tmp_path / "scan.csv.meta.json").read_text())
-    assert meta["seed"] == 0
+    assert "seed" not in meta
     summary = serialize.loads((tmp_path / "scan.csv.summary.json").read_text())
+    assert summary["config"] == meta
     assert summary["werner_refs"]["entropy"] == pytest.approx(np.log2(12.0), abs=1e-12)
     assert summary["regime_crossovers"][0] == pytest.approx(0.5, abs=2e-6)
     assert 0.86 < summary["regime_crossovers"][1] < 0.92

@@ -16,7 +16,6 @@ from finitelhs.geometry import (
     decompose_directions,
     exit_faces,
     fibonacci_sphere,
-    gamma_identity_check,
     icosahedron,
     octahedron,
     polyhedron_from_vertices,
@@ -72,13 +71,29 @@ def test_tetrahedron_frame_and_angles():
 
 
 def test_gamma_identity_on_icosahedra(rng):
-    assert gamma_identity_check(icosahedron()) < 1e-10
-    for _ in range(10):
-        assert gamma_identity_check(icosahedron(random_rotation(rng))) < 1e-10
+    """sum_j sign(v_j . v_i) v_j = 2(1+sqrt5) v_i on every vertex: at
+    tol=1e-12 the per-vertex residual and the spread of c are each at most
+    1e-12, so the identity holds to 3e-12."""
+    for rot in [None] + [random_rotation(rng) for _ in range(10)]:
+        c = sign_sum_constant(icosahedron(rot), tol=1e-12)
+        assert abs(c - ICOSAHEDRON_SIGN_SUM) <= 1e-12
 
 
 def test_gamma_identity_fails_for_tetrahedron():
-    assert gamma_identity_check(tetrahedron()) > 1.0
+    assert abs(sign_sum_constant(tetrahedron()) - ICOSAHEDRON_SIGN_SUM) > 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(icosahedron, ICOSAHEDRON_SIGN_SUM), (cube, 4.0), (octahedron, 2.0)]),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+@example((icosahedron, ICOSAHEDRON_SIGN_SUM), (1.0, 0.0, 0.0, 0.0))
+@example((octahedron, 2.0), (np.cos(np.pi / 8), 0.0, 0.0, np.sin(np.pi / 8)))
+def test_sign_sum_constant_is_rotation_invariant(solid_and_c, quat):
+    """The constant is a property of the solid, not of its orientation,
+    including where rotated vertices leave ~1e-17 on orthogonal pairs."""
+    solid, c = solid_and_c
+    assume(np.linalg.norm(quat) > 0.1)
+    assert abs(sign_sum_constant(solid(Rotation.from_quat(quat)), tol=1e-12) - c) <= 1e-12
 
 
 def test_sign_sum_constants():

@@ -32,7 +32,7 @@ from finitelhs.lhsmodel import (
     response_maps,
     verify_model,
 )
-from finitelhs.qstate import DiagMat3, Measurement, TState
+from finitelhs.qstate import DiagMat3, TState
 
 from conftest import (
     as_diag,
@@ -42,6 +42,7 @@ from conftest import (
     tie_directions,
 )
 from decompose_oracle import all_faces_decompose
+from qstate_oracle import Measurement
 from response_oracle import convex_decompose, response_probability, response_value
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)

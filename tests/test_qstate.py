@@ -2,19 +2,10 @@ import numpy as np
 import pytest
 
 from finitelhs.belldecomp import tstate_density
-from finitelhs.qstate import (
-    DiagMat3,
-    HalfState,
-    Measurement,
-    TState,
-    assemblage,
-    bell_weights,
-    concurrence_axial,
-    is_on_separable_boundary,
-    max_physical_visibility,
-)
+from finitelhs.qstate import DiagMat3, TState, concurrence_axial, max_physical_visibility
 
 from conftest import BELL_CORNERS, as_diag, random_axial_physical_diag, random_physical_diag, random_unit_vectors
+from qstate_oracle import HalfState, Measurement, assemblage, bell_weights, is_on_separable_boundary
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 

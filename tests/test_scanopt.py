@@ -1,9 +1,14 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import elliprg
 
-from finitelhs.boundary import axial_boundary_solve
+from finitelhs import boundary, geometry, scanopt
+from finitelhs.boundary import axial_boundary_solve, sample_axial_family
 from finitelhs.geometry import (
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
@@ -19,7 +24,6 @@ from finitelhs.scanopt import (
     analytic_norm_constants,
     best_regime,
     face_edge_crossover,
-    max_visibility,
     optimal_axial_model,
     random_orientation_search,
     scan_axial_family,
@@ -31,6 +35,7 @@ from finitelhs.scanopt import (
 )
 
 from conftest import random_unit_vectors
+from scan_oracle import axial_point, max_visibility, special_vertices
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 VISIBILITY_PER_S = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 12.0
@@ -68,6 +73,21 @@ def test_analytic_constants_reject_nonpositive():
         analytic_norm_constants(0.0, 0.5)
     with pytest.raises(ValueError):
         analytic_norm_constants(0.5, -0.1)
+    with pytest.raises(ValueError):
+        analytic_norm_constants(np.array([0.5, 0.0]), np.array([0.5, 0.5]))
+
+
+def test_constants_and_regime_are_elementwise():
+    """Scalars in, floats and an int out; arrays in, arrays out, equal to
+    the scalar values element by element."""
+    t0x, t0z = np.array([0.3, 0.5, 0.05, 0.7]), np.array([0.9, 0.5, 1.0, 0.1])
+    scalar = [analytic_norm_constants(x, z) for x, z in zip(t0x, t0z)]
+    assert all(type(s) is float for row in scalar for s in row)
+    assert all(type(best_regime(row)) is int for row in scalar)
+    columns = analytic_norm_constants(t0x, t0z)
+    assert [c.shape for c in columns] == [(4,)] * 3
+    assert np.array_equal(np.stack(columns, axis=1), scalar)
+    assert best_regime(columns).tolist() == [best_regime(row) for row in scalar]
 
 
 def test_max_visibility_isotropic_is_orientation_free(rng):
@@ -165,6 +185,68 @@ def test_scan_entropy_peaks_at_isotropic_point(pts50):
     assert entropies.max() == pytest.approx(np.log2(12.0), abs=1e-12)
     assert int(np.argmax(entropies)) == 24
     assert entropies.min() == pytest.approx(2.959433895314834, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.floats(1e-3, 0.999), st.sampled_from([1e-10, 1e-12]))
+@example(50, 0.02, 1e-10)       # t0z = 0.5 on the grid: the three-way tie
+@example(50, 0.02, 1e-12)
+@example(2, 0.5, 1e-12)         # t0z = 0.5 and t0z = 1 only
+def test_scan_matches_the_pointwise_oracle(n, t0z_min, tol):
+    """Every field of every point, bit for bit and of the same type, as
+    the scalar oracle computes it at the solved boundary points."""
+    curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol)
+    rotated = special_vertices()
+    expected = [axial_point(z, x, rotated) for z, x in zip(curve.t0z, curve.t0x)]
+    points = scan_axial_family(n, t0z_min=t0z_min, tol=tol)
+    assert [[(type(v), v) for v in astuple(p)] for p in points] == \
+        [[(type(v), v) for v in astuple(p)] for p in expected]
+
+
+def test_werner_reference_matches_the_pointwise_oracle():
+    p = axial_point(0.5, 0.5, special_vertices())
+    assert p.regime == "vertex" and p.s_vertex == p.s_face == p.s_edge
+    assert werner_reference() == {"t": p.t_max, "entropy": p.entropy_bits,
+                                  "concurrence": p.concurrence}
+
+
+def test_second_scan_reuses_the_constant_geometry(monkeypatch):
+    """After one scan and summary, another builds no polyhedron and runs
+    no bisection besides its grid solve."""
+    scan_summary(scan_axial_family(24, t0z_min=0.035))
+    calls = {"polyhedron_from_vertices": 0, "bisect": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(geometry, "polyhedron_from_vertices")
+    count(boundary, "bisect")
+    count(scanopt, "bisect")
+    scan_summary(scan_axial_family(24, t0z_min=0.035))
+    assert calls == {"polyhedron_from_vertices": 0, "bisect": 1}
+
+
+def test_special_vertices_are_cached_and_read_only():
+    vertices = scanopt._special_vertices()
+    assert vertices is scanopt._special_vertices()
+    assert vertices.shape == (3, 12, 3)
+    assert np.array_equal(vertices, special_vertices())
+    with pytest.raises(ValueError):
+        vertices[0, 0, 0] = 0.0
+
+
+def test_werner_reference_dicts_are_independent():
+    first = werner_reference()
+    expected = dict(first)
+    first["t"] = 0.0
+    first["extra"] = 1
+    assert werner_reference() == expected
 
 
 def test_scan_rejects_bad_sizes():
