@@ -38,18 +38,22 @@ from .boundary import (
     sample_axial_family,
 )
 from .geometry import (
+    ICOSAHEDRON_INRADIUS,
+    ICOSAHEDRON_SIGN_SUM,
     Rotation,
     cube,
     icosahedron,
     octahedron,
     random_rotation,
     special_orientations,
+    special_vertices,
 )
 from .lhsmodel import (
     FiniteLhsModel,
     build_polyhedron_model,
     build_separable_tetrahedron_model,
     entropy_bits,
+    mapped_norms,
     model_from_json,
     model_to_dict,
     verify_model,
@@ -231,11 +235,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         s_values = analytic_norm_constants(abs(target.dx), abs(target.dz))
         analytic_best = max(s_values) * VISIBILITY_PER_S
     else:
-        vis = [
-            build_polyhedron_model(target, icosahedron(rot)).visibility
-            for rot in special_orientations()
-        ]
-        analytic_best = max(vis)
+        _, sums = mapped_norms(special_vertices(), target.as_array())
+        analytic_best = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / float(sums.min())
     doc = {
         "analytic_best": analytic_best,
         "random_best": random_best,

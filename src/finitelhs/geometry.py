@@ -1,9 +1,14 @@
-"""Rotations, unit-sphere polyhedra, and convex vertex decompositions."""
+"""Rotations, unit-sphere polyhedra, and convex vertex decompositions.
+
+The canonical icosahedron is one read-only vertex array; the special
+orientations and their rotated vertex sets are read from it without
+building a hull.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -15,6 +20,14 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 # c in the vertex identity  sum_j sign(v_j . v_i) v_j = c v_i  (c = 2(1+sqrt 5)).
 ICOSAHEDRON_INRADIUS = np.sqrt((5.0 + 2.0 * np.sqrt(5.0)) / 15.0)
 ICOSAHEDRON_SIGN_SUM = 2.0 * (1.0 + np.sqrt(5.0))
+
+# The canonical icosahedron's vertices, the cyclic permutations of
+# (0, +-1, +-phi) normalized; read-only, shared by every icosahedron.
+ICOSAHEDRON_VERTICES = np.array([
+    row for a in (1.0, -1.0) for b in (1.0, -1.0) for row in (
+        (0.0, a, b * GOLDEN_RATIO), (a, b * GOLDEN_RATIO, 0.0), (b * GOLDEN_RATIO, 0.0, a))
+]) / np.sqrt(1.0 + GOLDEN_RATIO * GOLDEN_RATIO)
+ICOSAHEDRON_VERTICES.flags.writeable = False
 
 # |v . w| at or below this counts as orthogonal: rotated solids leave
 # ~1e-17 of rounding noise where the exact dot product is 0.
@@ -67,14 +80,6 @@ class Rotation:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Rotate a (3,) vector or the rows of an (n, 3) array."""
         return np.asarray(v, dtype=float) @ self.matrix.T
-
-    def inverse(self) -> "Rotation":
-        w, x, y, z = self.quat
-        return Rotation(np.array([w, -x, -y, -z]))
-
-    @staticmethod
-    def identity() -> "Rotation":
-        return Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
 
     @staticmethod
     def from_quat(q) -> "Rotation":
@@ -224,22 +229,24 @@ def polyhedron_from_vertices(vertices, kind: str = "custom") -> Polyhedron:
     return Polyhedron(vertices=v, faces=faces, inradius=inradius, kind=kind)
 
 
+def _rotated(v: np.ndarray, orientation: Rotation | None) -> np.ndarray:
+    """The rows of ``v`` rotated by ``orientation`` and renormalized to
+    unit length; ``v`` itself when there is no orientation."""
+    if orientation is None:
+        return v
+    v = orientation.apply(v)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
 def icosahedron(orientation: Rotation | None = None) -> Polyhedron:
     """The regular icosahedron inscribed in the unit sphere.
 
-    Canonical vertices are the cyclic permutations of (0, +-1, +-phi)
-    normalized; ``orientation`` rotates the whole solid.
+    Canonical vertices are ``ICOSAHEDRON_VERTICES``; ``orientation``
+    rotates the whole solid.
     """
-    phi = GOLDEN_RATIO
-    base = []
-    for a in (1.0, -1.0):
-        for b in (1.0, -1.0):
-            base += [(0.0, a, b * phi), (a, b * phi, 0.0), (b * phi, 0.0, a)]
-    v = np.asarray(base) / np.sqrt(1.0 + phi * phi)
-    if orientation is not None:
-        v = orientation.apply(v)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return polyhedron_from_vertices(v, kind="icosahedron")
+    return polyhedron_from_vertices(_rotated(ICOSAHEDRON_VERTICES, orientation),
+                                    kind="icosahedron")
 
 
 def tetrahedron() -> Polyhedron:
@@ -256,20 +263,14 @@ def cube(orientation: Rotation | None = None) -> Polyhedron:
     v = np.array([
         (a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)
     ]) / np.sqrt(3.0)
-    if orientation is not None:
-        v = orientation.apply(v)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return polyhedron_from_vertices(v, kind="custom")
+    return polyhedron_from_vertices(_rotated(v, orientation), kind="custom")
 
 
 def octahedron(orientation: Rotation | None = None) -> Polyhedron:
     v = np.array([
         [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0],
     ])
-    if orientation is not None:
-        v = orientation.apply(v)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return polyhedron_from_vertices(v, kind="custom")
+    return polyhedron_from_vertices(_rotated(v, orientation), kind="custom")
 
 
 def vertex_signs(vertices: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -314,7 +315,7 @@ def _exit_candidates(p: Polyhedron, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     normals, offsets, inv = p._face_frames
     along = x @ normals.T                          # (n, F)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         s_all = offsets / along
     s_all[along <= 0] = np.inf
     s = s_all.min(axis=1)                          # exit distance per direction
@@ -392,15 +393,25 @@ def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
 def special_orientations() -> tuple[Rotation, Rotation, Rotation]:
     """Rotations putting an icosahedron vertex, face center, and edge
     midpoint on the +z axis (in that order)."""
-    ico = icosahedron()
-    v0 = ico.vertices[0]
-    partner = ico.vertices[int(np.argsort(ico.vertices @ v0)[-2])]
+    v = ICOSAHEDRON_VERTICES
+    v0 = v[0]
+    partner = v[int(np.argsort(v @ v0)[-2])]
     edge_mid = v0 + partner
     edge_mid /= np.linalg.norm(edge_mid)
     # the face of vertex 0 with its neighbours 7 and 5, summed in this order
-    center = ico.vertices[[7, 0, 5]].mean(axis=0)
+    center = v[[7, 0, 5]].mean(axis=0)
     center /= np.linalg.norm(center)
     return rotation_to_z(v0), rotation_to_z(center), rotation_to_z(edge_mid)
+
+
+@cache
+def special_vertices() -> np.ndarray:
+    """The icosahedron vertices at the three special orientations, bit for
+    bit those of ``icosahedron(rot)``, as one read-only (3, 12, 3) array
+    built on first use."""
+    vertices = np.stack([_rotated(ICOSAHEDRON_VERTICES, rot) for rot in special_orientations()])
+    vertices.flags.writeable = False
+    return vertices
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

@@ -9,7 +9,9 @@ The simulated assemblage is
     Bloch part:  sum_i q_i (1 + a f(x, i)) / 2 * bloch_i
 
 and the model is correct for a state when both match the quantum
-assemblage for every measurement direction.
+assemblage for every measurement direction.  A sign-mixture model's
+weights and maximum visibility come from :func:`mapped_norms`, which the
+scan and the orientation search share.
 
 Both responses are piecewise linear in x: a sign mixture is linear on
 each face cone of its polyhedron, a linear response on the whole sphere.
@@ -30,10 +32,8 @@ import numpy as np
 from . import serialize
 from .geometry import (
     Polyhedron,
-    Rotation,
     exit_faces,
     fibonacci_sphere,
-    icosahedron,
     polyhedron_from_vertices,
     sign_sum_constant,
     tetrahedron,
@@ -143,14 +143,26 @@ class FiniteLhsModel:
         return TState(self.target.scaled(self.visibility))
 
 
+def mapped_norms(vertices: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|T0 v_i| for the vertices (..., V, 3) and the diagonal T0 (..., 3),
+    and their sum over the vertices (...), batched over the leading axes.
+
+    The model on these vertices has weights |T0 v_i| / sum and maximum
+    visibility c * inradius / sum (c from :func:`sign_sum_constant`).
+    """
+    norms = np.linalg.norm(vertices * diag[..., None, :], axis=-1)
+    return norms, norms.sum(axis=-1)
+
+
 def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
                            visibility: float | None = None) -> FiniteLhsModel:
     """LHS model on any inversion-symmetric polyhedron with the sign-sum
     property  sum_j sign(v_j . v_i) v_j = c v_i.
 
     One atom per vertex: weight |T0 v_i| / sum_j |T0 v_j| and Bloch vector
-    T0 v_i normalized.  The maximum visibility is  c * inradius / sum_j
-    |T0 v_j|; a smaller ``visibility`` is reached by scaling the response.
+    T0 v_i normalized (see :func:`mapped_norms`).  The maximum visibility
+    is  c * inradius / sum_j |T0 v_j|; a smaller ``visibility`` is reached
+    by scaling the response.
     """
     if target.is_singular:
         raise ValueError(
@@ -160,9 +172,8 @@ def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
     if not poly.is_inversion_symmetric:
         raise ValueError(f"unsupported polyhedron {poly.kind!r}: not inversion symmetric")
     c = sign_sum_constant(poly)
-    mapped = target.apply(poly.vertices)
-    norms = np.linalg.norm(mapped, axis=1)
-    t_max = c * poly.inradius / norms.sum()
+    norms, total = mapped_norms(poly.vertices, target.as_array())
+    t_max = c * poly.inradius / total
     if visibility is None:
         visibility = t_max
         scale = 1.0
@@ -172,20 +183,14 @@ def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
                 f"requested visibility {visibility!r} is outside [0, {t_max!r}]"
             )
         scale = min(visibility / t_max, 1.0)
-    q = norms / norms.sum()
-    blochs = mapped / norms[:, None]
+    q = norms / total
+    blochs = target.apply(poly.vertices) / norms[:, None]
     atoms = tuple(
         Atom(weight=float(q[i]), bloch=blochs[i], preimage=poly.vertices[i])
         for i in range(len(poly.vertices))
     )
     return FiniteLhsModel(atoms=atoms, response=SignMixture(poly, scale),
                           target=target, visibility=float(visibility))
-
-
-def build_icosahedron_model(target: DiagMat3, orientation: Rotation | None = None,
-                            visibility: float | None = None) -> FiniteLhsModel:
-    """Icosahedron instance of :func:`build_polyhedron_model` (c = 2(1+sqrt5))."""
-    return build_polyhedron_model(target, icosahedron(orientation), visibility)
 
 
 def build_separable_tetrahedron_model(target: DiagMat3,

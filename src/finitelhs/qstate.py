@@ -65,9 +65,6 @@ class DiagMat3:
         """Matrix-vector product; broadcasts over rows of an (n, 3) array."""
         return self.as_array() * np.asarray(v, dtype=float)
 
-    def abs(self) -> "DiagMat3":
-        return DiagMat3(abs(self.dx), abs(self.dy), abs(self.dz))
-
     def scaled(self, factor: float) -> "DiagMat3":
         return DiagMat3(factor * self.dx, factor * self.dy, factor * self.dz)
 
@@ -99,13 +96,7 @@ def bell_weights_of_diag(diag: np.ndarray) -> np.ndarray:
     The four eigenvectors are the Bell states; the weights are returned in
     the fixed order ((00+11), (00-11), (01+10), (01-10)) / sqrt(2).
     """
-    dx, dy, dz = diag
-    return np.array([
-        1.0 + dx - dy + dz,
-        1.0 - dx + dy + dz,
-        1.0 + dx + dy - dz,
-        1.0 - dx - dy - dz,
-    ]) / 4.0
+    return (1.0 + BELL_CORNERS @ diag) / 4.0
 
 
 @dataclass(frozen=True)

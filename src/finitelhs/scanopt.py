@@ -10,10 +10,11 @@ solved in r = t0x / t0z alone and put on the boundary by homogeneity.
 
 A scan solves the boundary on its t0z grid, then classifies and sizes every
 grid point in one array pass (``_axial_points``): the three S constants,
-the regime, t_max, the weight entropy and the concurrence.  What does not
-depend on the grid, the icosahedron vertices at the three special
-orientations and the two crossovers, is computed on first use and kept for
-the life of the process.
+the regime, t_max, the weight entropy and the concurrence.  The weights
+come from ``lhsmodel.mapped_norms`` on the winning regime's vertices
+(``geometry.special_vertices``), as do the sums of the random orientation
+search.  What does not depend on the grid, those vertices and the two
+crossovers, is computed on first use and kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .boundary import (
 from .geometry import (
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
+    ICOSAHEDRON_VERTICES,
     Rotation,
-    icosahedron,
     quaternion_matrices,
-    special_orientations,
+    special_vertices,
 )
-from .lhsmodel import FiniteLhsModel, build_icosahedron_model
+from .lhsmodel import mapped_norms
 from .qstate import DiagMat3, axial_concurrence
 
 REGIMES = ("vertex", "face", "edge")
@@ -91,9 +92,8 @@ def random_orientation_search(target: DiagMat3, n_rotations: int,
     rng = np.random.default_rng(seed)
     quats = rng.standard_normal((n_rotations, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    verts = icosahedron().vertices
-    rotated = np.einsum("nij,vj->nvi", quaternion_matrices(quats), verts)
-    sums = np.linalg.norm(rotated * target.as_array(), axis=2).sum(axis=1)
+    rotated = np.einsum("nij,vj->nvi", quaternion_matrices(quats), ICOSAHEDRON_VERTICES)
+    _, sums = mapped_norms(rotated, target.as_array())
     best = int(np.argmin(sums))
     visibility = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / float(sums[best])
     return visibility, Rotation(quats[best])
@@ -132,29 +132,6 @@ def best_regime(s_values):
     return int(idx) if idx.ndim == 0 else idx
 
 
-def optimal_axial_model(t0x: float, t0z: float) -> tuple[FiniteLhsModel, str]:
-    """The icosahedron model at the best special orientation for the axial
-    state diag(-t0x, -t0x, -t0z), together with the regime name.
-
-    The diagonal is negative by convention (the family contains the Werner
-    line); the weights and visibility only depend on the magnitudes.
-    """
-    s_values = analytic_norm_constants(t0x, t0z)
-    idx = best_regime(s_values)
-    orientation = special_orientations()[idx]
-    model = build_icosahedron_model(DiagMat3(-t0x, -t0x, -t0z), orientation)
-    return model, REGIMES[idx]
-
-
-@cache
-def _special_vertices() -> np.ndarray:
-    """The icosahedron vertices at the three special orientations, as one
-    read-only (3, 12, 3) array, built on first use."""
-    vertices = np.stack([icosahedron(rot).vertices for rot in special_orientations()])
-    vertices.flags.writeable = False
-    return vertices
-
-
 def _axial_points(t0z: np.ndarray, t0x: np.ndarray) -> list[AxialPoint]:
     """Classify and size the model at the boundary points (t0z, t0x), all
     at once: the regime with the largest S, t_max = S * VISIBILITY_PER_S,
@@ -164,9 +141,8 @@ def _axial_points(t0z: np.ndarray, t0x: np.ndarray) -> list[AxialPoint]:
     idx = best_regime(s_values)
     s_best = np.choose(idx, s_values)
     t_max = s_best * VISIBILITY_PER_S
-    diag = np.stack([t0x, t0x, t0z], axis=1)
-    q = np.linalg.norm(_special_vertices()[idx] * diag[:, None, :], axis=2)
-    q /= q.sum(axis=1, keepdims=True)
+    norms, total = mapped_norms(special_vertices()[idx], np.stack([t0x, t0x, t0z], axis=1))
+    q = norms / total[:, None]
     columns = (
         t0z, t0x, *s_values, s_best, [REGIMES[i] for i in idx], t_max,
         -(q * np.log2(q)).sum(axis=1), axial_concurrence(t0x, t0z, t_max),

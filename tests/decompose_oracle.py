@@ -26,7 +26,7 @@ def all_faces_decompose(p: Polyhedron, directions) -> np.ndarray:
 
     normals, offsets, inv = p._face_frames
     along = x @ normals.T                          # (n, F)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s_all = np.where(along > 0, offsets[None, :] / along, np.inf)
     s = s_all.min(axis=1)                          # exit distance per direction
     near = s_all <= s[:, None] * (1.0 + 1e-9)

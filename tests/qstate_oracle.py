@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from finitelhs.qstate import PHYSICALITY_TOL, TState, as_unit_vector, bell_weights_of_diag
+from finitelhs.belldecomp import BELL_BASIS, tstate_density
+from finitelhs.qstate import PHYSICALITY_TOL, TState, as_unit_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +58,9 @@ def assemblage(state: TState, m: Measurement) -> HalfState:
 
 def bell_weights(state: TState) -> np.ndarray:
     """Eigenvalues of the 4x4 density matrix, summing to 1, in the order of
-    :func:`finitelhs.qstate.bell_weights_of_diag`."""
-    return bell_weights_of_diag(state.corr.as_array())
+    :func:`finitelhs.qstate.bell_weights_of_diag`: the diagonal of the
+    explicit density matrix in the Bell basis."""
+    return np.diag(BELL_BASIS.conj().T @ tstate_density(state) @ BELL_BASIS).real
 
 
 def is_on_separable_boundary(state: TState, tol: float = 1e-9) -> bool:

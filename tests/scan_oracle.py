@@ -3,7 +3,8 @@
 
 ``axial_point`` classifies and sizes the model at a single boundary point
 from the scalar forms of the package's closed forms; ``max_visibility``
-rotates a fresh icosahedron and sums the norms it needs directly.
+rotates a fresh icosahedron and sums the norms it needs directly;
+``optimal_axial_model`` builds the full model at the winning orientation.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from finitelhs.geometry import (
     icosahedron,
     special_orientations,
 )
+from finitelhs.lhsmodel import FiniteLhsModel, build_polyhedron_model
 from finitelhs.qstate import DiagMat3, concurrence_axial
 from finitelhs.scanopt import (
     REGIMES,
@@ -52,3 +54,16 @@ def axial_point(t0z: float, t0x: float, rotated: list[np.ndarray]) -> AxialPoint
         entropy_bits=float(-(q * np.log2(q)).sum()),
         concurrence=float(concurrence_axial(DiagMat3(t0x, t0x, t0z), t_max)),
     )
+
+
+def optimal_axial_model(t0x: float, t0z: float) -> tuple[FiniteLhsModel, str]:
+    """The icosahedron model at the best special orientation for the axial
+    state diag(-t0x, -t0x, -t0z), together with the regime name.
+
+    The diagonal is negative by convention (the family contains the Werner
+    line); the weights and visibility only depend on the magnitudes.
+    """
+    idx = best_regime(analytic_norm_constants(t0x, t0z))
+    model = build_polyhedron_model(DiagMat3(-t0x, -t0x, -t0z),
+                                   icosahedron(special_orientations()[idx]))
+    return model, REGIMES[idx]

@@ -33,7 +33,7 @@ from finitelhs.geometry import (
     tetrahedron,
 )
 from finitelhs.lhsmodel import (
-    build_icosahedron_model,
+    build_polyhedron_model,
     build_separable_tetrahedron_model,
     entropy_bits,
     verify_model,
@@ -43,7 +43,6 @@ from finitelhs.scanopt import (
     analytic_norm_constants,
     best_regime,
     face_edge_crossover,
-    optimal_axial_model,
     random_orientation_search,
     scan_axial_family,
     zero_entanglement_interval,
@@ -51,7 +50,7 @@ from finitelhs.scanopt import (
 
 from boundary_oracle import rg_norm_integral
 from qstate_oracle import bell_weights
-from scan_oracle import max_visibility
+from scan_oracle import max_visibility, optimal_axial_model
 from sphere_quadrature import DEFAULT_QUADRATURE, quadrature_norm_integral
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
@@ -80,7 +79,7 @@ def test_criterion_01_exact_model_verification():
     rng = np.random.default_rng(11)
     worst = 0.0
 
-    model = build_icosahedron_model(WERNER, special_orientations()[0])
+    model = build_polyhedron_model(WERNER, icosahedron(special_orientations()[0]))
     rep = verify_model(model, model.simulated_state(), random_directions(rng, 1000))
     worst = max(worst, rep.max_residual)
     t_gap = abs(model.visibility - WERNER_T_MAX)
@@ -156,7 +155,7 @@ def test_criterion_04_regime_structure():
 
 def test_criterion_05_shared_randomness(scan500):
     werner_entropy = entropy_bits(
-        build_icosahedron_model(WERNER, special_orientations()[0]))
+        build_polyhedron_model(WERNER, icosahedron(special_orientations()[0])))
     werner_err = abs(werner_entropy - np.log2(12.0))
     min_entropy = min(p.entropy_bits for p in scan500)
     tetra_entropy = entropy_bits(

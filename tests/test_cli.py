@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import finitelhs
-from finitelhs import serialize
+from finitelhs import geometry, serialize
 from finitelhs.boundary import norm_integral, sample_axial_family
 from finitelhs.cli import main
 from finitelhs.geometry import ICOSAHEDRON_INRADIUS, ICOSAHEDRON_SIGN_SUM
@@ -322,6 +322,19 @@ def test_optimize_nonaxial(capsys):
     doc = serialize.loads(out)
     assert doc["axial"] is False
     assert doc["analytic_best"] > 0
+
+
+def test_optimize_builds_no_polyhedron(capsys, monkeypatch):
+    """The special orientations and both optimize branches read constant
+    vertex arrays; none builds a hull."""
+    calls = []
+    build = geometry.polyhedron_from_vertices
+    monkeypatch.setattr(geometry, "polyhedron_from_vertices",
+                        lambda *args, **kwargs: calls.append(args) or build(*args, **kwargs))
+    geometry.special_orientations()
+    for t0 in (WERNER_ARGS, ["--t0", "-0.5", "-0.4", "-0.3"]):
+        assert run(capsys, ["optimize", *t0, "--n", "20"])[0] == 0
+    assert calls == []
 
 
 def test_optimize_singular(capsys):

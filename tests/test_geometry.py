@@ -171,6 +171,18 @@ def test_decompose_rejects_non_finite_directions(bad):
         decompose_directions(icosahedron(), x)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solid", [cube, octahedron])
+def test_decompose_subnormal_components_warn_nothing(solid):
+    """A subnormal component makes some x . n subnormal, and the exit
+    distance d / (x . n) overflows to inf: no exit there, and no warning."""
+    tiny = 5e-324
+    x = np.array([[1.0, tiny, 0.0], [tiny, 0.0, 1.0], [0.0, 1.0, -tiny], [1.0, tiny, -tiny]])
+    p = solid()
+    assert np.array_equal(decompose_directions(p, x), all_faces_decompose(p, x))
+    assert len(exit_faces(p, x)) == len(x)
+
+
 @pytest.mark.parametrize("x,message", [
     (np.empty((0, 3)), "n >= 1"),
     (np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]), "unit"),
@@ -244,8 +256,9 @@ def test_random_rotation_is_roughly_uniform():
 def test_rotation_roundtrip(rng):
     rot = random_rotation(rng)
     x = random_unit_vectors(rng, 10)
-    assert np.allclose(rot.inverse().apply(rot.apply(x)), x, atol=1e-12)
-    assert np.allclose(Rotation.identity().apply(x), x)
+    inverse = Rotation(rot.quat * np.array([1.0, -1.0, -1.0, -1.0]))
+    assert np.allclose(inverse.apply(rot.apply(x)), x, atol=1e-12)
+    assert np.allclose(Rotation(np.array([1.0, 0.0, 0.0, 0.0])).apply(x), x)
 
 
 def test_rotation_rejects_non_unit_quaternion():

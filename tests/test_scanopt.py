@@ -24,7 +24,6 @@ from finitelhs.scanopt import (
     analytic_norm_constants,
     best_regime,
     face_edge_crossover,
-    optimal_axial_model,
     random_orientation_search,
     scan_axial_family,
     scan_csv,
@@ -35,7 +34,7 @@ from finitelhs.scanopt import (
 )
 
 from conftest import random_unit_vectors
-from scan_oracle import axial_point, max_visibility, special_vertices
+from scan_oracle import axial_point, max_visibility, optimal_axial_model, special_vertices
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 VISIBILITY_PER_S = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 12.0
@@ -233,8 +232,8 @@ def test_second_scan_reuses_the_constant_geometry(monkeypatch):
 
 
 def test_special_vertices_are_cached_and_read_only():
-    vertices = scanopt._special_vertices()
-    assert vertices is scanopt._special_vertices()
+    vertices = geometry.special_vertices()
+    assert vertices is geometry.special_vertices()
     assert vertices.shape == (3, 12, 3)
     assert np.array_equal(vertices, special_vertices())
     with pytest.raises(ValueError):
