@@ -72,8 +72,8 @@ def _boundary_t0x(t0z: np.ndarray, tol: float) -> np.ndarray:
     allows; otherwise the root is bisected between 0, where the integral
     equals t0z, and that end.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not (0.0 < tol < np.inf):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     lo, hi = np.full(t0z.shape, BRACKET[0]), np.full(t0z.shape, BRACKET[1])
     f_lo = norm_integral(lo, t0z) - 1.0
     above = f_lo > 0

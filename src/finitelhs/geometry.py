@@ -69,6 +69,8 @@ class Rotation:
         q = np.asarray(self.quat, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError(f"quaternion components must be finite, got {q.tolist()}")
         if abs(np.linalg.norm(q) - 1.0) > UNIT_TOL:
             raise ValueError(f"quaternion must be unit length, |q| = {np.linalg.norm(q)!r}")
         object.__setattr__(self, "quat", q)
@@ -87,7 +89,8 @@ class Rotation:
         n = np.linalg.norm(q)
         if q.shape != (4,) or n == 0:
             raise ValueError("quaternion must be a nonzero length-4 vector")
-        return Rotation(q / n)
+        # Rotation rejects a non-finite q; q / |q| would warn first
+        return Rotation(q / n if np.isfinite(n) else q)
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:
@@ -336,11 +339,6 @@ def _exit_candidates(p: Polyhedron, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return hit, s, bary
 
 
-def _check_symmetric(p: Polyhedron) -> None:
-    if not p.is_inversion_symmetric:
-        raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
-
-
 def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
     """Convex weights over vertices for each unit direction (vectorized).
 
@@ -352,7 +350,8 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
     vertices, which cancels because the vertex set is inversion symmetric.
     """
     x = as_unit_rows(directions)
-    _check_symmetric(p)
+    if not p.is_inversion_symmetric:
+        raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
     hit, s, bary = _exit_candidates(p, x)
     bary = np.maximum(bary, 0.0)
     bary /= (bary[:, 0] + bary[:, 1] + bary[:, 2])[:, None]
@@ -368,7 +367,7 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
 
 def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     """The face whose cone contains each unit direction in the rows of
-    ``x`` (already checked by ``as_unit_rows``).
+    ``x`` (already checked by ``as_unit_rows``), on any convex solid.
 
     The face plane the ray along x meets first maximizes x.n/d over the
     faces.  Coplanar pieces of a split facet tie on that score, and the
@@ -378,7 +377,6 @@ def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     ``_exit_candidates``.  On an edge or vertex the faces that meet there
     agree to rounding, so any of them will do.
     """
-    _check_symmetric(p)
     normals, offsets, inv = p._face_frames
     hit = np.argmax(x @ (normals / offsets[:, None]).T, axis=1)
     # coordinates divided by s: they sum to 1/s, the exit point being on the plane

@@ -20,12 +20,16 @@ each face cone of its polyhedron, a linear response on the whole sphere.
 on a grid of directions from the same per-region maps, without forming
 the (directions x atoms) response matrix.  The report names the largest
 residual and the face where the certificate is worst.
+
+Each rule on a model's contents is checked once, by its owner:
+:class:`FiniteLhsModel` checks the fields of its atoms, plain
+:class:`Atom` records, as stacked arrays, and :class:`SignMixture`
+rejects a polyhedron that is not inversion symmetric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .geometry import (
     tetrahedron,
     vertex_signs,
 )
-from .qstate import DiagMat3, TState, as_unit_rows, as_unit_vector
+from .qstate import DiagMat3, TState, as_unit_rows
 
 WEIGHT_TOL = 1e-12
 ATOM_MAP_TOL = 1e-12
@@ -61,16 +65,6 @@ class Atom:
     preimage: np.ndarray
     alice_bloch: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.weight < -WEIGHT_TOL:
-            raise ValueError(f"atom weight must be nonnegative, got {self.weight!r}")
-        object.__setattr__(self, "bloch", as_unit_vector(self.bloch, "atom bloch"))
-        object.__setattr__(self, "preimage", as_unit_vector(self.preimage, "atom preimage"))
-        if self.alice_bloch is not None:
-            object.__setattr__(
-                self, "alice_bloch", as_unit_vector(self.alice_bloch, "atom alice_bloch")
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class SignMixture:
@@ -83,6 +77,9 @@ class SignMixture:
     def __post_init__(self) -> None:
         if not (0.0 <= self.scale <= 1.0 + 1e-12):
             raise ValueError(f"response scale must lie in [0, 1], got {self.scale!r}")
+        if not self.polyhedron.is_inversion_symmetric:
+            raise ValueError(
+                f"unsupported polyhedron {self.polyhedron.kind!r}: not inversion symmetric")
 
 
 @dataclass(frozen=True)
@@ -90,9 +87,22 @@ class LinearResponse:
     """Response f(x, atom) = x . alice_bloch."""
 
 
+def _unit_rows(atoms: tuple[Atom, ...], field: str) -> np.ndarray:
+    """The atoms' ``field`` vectors as an (n, 3) array of n >= 1 unit rows."""
+    if not atoms:
+        raise ValueError("model needs at least one atom")
+    rows = [np.asarray(getattr(a, field), dtype=float) for a in atoms]
+    shape = next((r.shape for r in rows if r.shape != (3,)), None)
+    if shape is not None:
+        raise ValueError(f"atom {field} must have shape (3,), got {shape}")
+    return as_unit_rows(np.stack(rows), f"atom {field}")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteLhsModel:
-    """A finite LHS model simulating TState(visibility * target)."""
+    """A finite LHS model simulating TState(visibility * target).  It keeps
+    the atom fields it checked as ``_weights``, ``_blochs``, ``_preimages``
+    and ``_alice_blochs`` (None for a sign mixture)."""
 
     atoms: tuple[Atom, ...]
     response: SignMixture | LinearResponse
@@ -100,43 +110,41 @@ class FiniteLhsModel:
     visibility: float
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("model needs at least one atom")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        total = sum(a.weight for a in self.atoms)
+        atoms = tuple(self.atoms)
+        blochs = _unit_rows(atoms, "bloch")
+        preimages = _unit_rows(atoms, "preimage")
+        q = np.array([a.weight for a in atoms], dtype=float)
+        bad = ~(np.isfinite(q) & (q >= -WEIGHT_TOL))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"atom weights must be finite and nonnegative, "
+                             f"got {float(q[i])!r} at atom {i}")
+        total = float(q.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom weights must sum to 1, got {total!r}")
-        if self.visibility < 0:
-            raise ValueError(f"visibility must be nonnegative, got {self.visibility!r}")
-        if isinstance(self.response, SignMixture):
-            mapped = self.target.apply(self._preimages)
+        if not (np.isfinite(self.visibility) and self.visibility >= 0):
+            raise ValueError(f"visibility must be finite and nonnegative, got {self.visibility!r}")
+        sign_mixture = isinstance(self.response, SignMixture)
+        given = tuple(a for a in atoms if a.alice_bloch is not None)
+        if sign_mixture:
+            mapped = self.target.apply(preimages)
             norms = np.linalg.norm(mapped, axis=1)
             if norms.min() <= 0:
                 raise ValueError("target maps an atom preimage to zero")
-            err = np.linalg.norm(mapped / norms[:, None] - self._blochs, axis=1).max()
+            err = np.linalg.norm(mapped / norms[:, None] - blochs, axis=1).max()
             if err > ATOM_MAP_TOL:
                 raise ValueError(
                     f"atom blochs are not the normalized target images of their "
                     f"preimages (residual {err:.3e})"
                 )
-        elif any(a.alice_bloch is None for a in self.atoms):
+        elif len(given) < len(atoms):
             raise ValueError("linear-response atoms need alice_bloch set")
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        return np.array([a.weight for a in self.atoms])
-
-    @cached_property
-    def _blochs(self) -> np.ndarray:
-        return np.stack([a.bloch for a in self.atoms])
-
-    @cached_property
-    def _preimages(self) -> np.ndarray:
-        return np.stack([a.preimage for a in self.atoms])
-
-    @cached_property
-    def _alice_blochs(self) -> np.ndarray:
-        return np.stack([a.alice_bloch for a in self.atoms])
+        # a sign mixture ignores alice_bloch, but one that is set must be valid
+        etas = _unit_rows(given, "alice_bloch") if given else None
+        for name, value in (("atoms", atoms), ("_weights", q), ("_blochs", blochs),
+                            ("_preimages", preimages),
+                            ("_alice_blochs", None if sign_mixture else etas)):
+            object.__setattr__(self, name, value)
 
     def simulated_state(self) -> TState:
         """The state this model reproduces; raises if it is not physical."""
@@ -169,11 +177,9 @@ def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
             f"target diagonal ({target.dx}, {target.dy}, {target.dz}) is singular; "
             "the vertex mapping is undefined"
         )
-    if not poly.is_inversion_symmetric:
-        raise ValueError(f"unsupported polyhedron {poly.kind!r}: not inversion symmetric")
     c = sign_sum_constant(poly)
     norms, total = mapped_norms(poly.vertices, target.as_array())
-    t_max = c * poly.inradius / total
+    t_max = float(c * poly.inradius / total)
     if visibility is None:
         visibility = t_max
         scale = 1.0
@@ -193,8 +199,7 @@ def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
                           target=target, visibility=float(visibility))
 
 
-def build_separable_tetrahedron_model(target: DiagMat3,
-                                      boundary_tol: float = BOUNDARY_TOL) -> FiniteLhsModel:
+def build_separable_tetrahedron_model(target: DiagMat3) -> FiniteLhsModel:
     """Four-atom model for a state on the separable boundary
     |dx| + |dy| + |dz| = 1.
 
@@ -204,10 +209,11 @@ def build_separable_tetrahedron_model(target: DiagMat3,
     (the sign fold happens here, so callers may pass signed diagonals).
     """
     diag = target.as_array()
-    if abs(np.abs(diag).sum() - 1.0) > boundary_tol:
+    norm = float(np.abs(diag).sum())
+    if abs(norm - 1.0) > BOUNDARY_TOL:
         raise ValueError(
-            f"target diagonal {tuple(diag)} is not on the separable boundary "
-            f"(|dx|+|dy|+|dz| = {np.abs(diag).sum()!r})"
+            f"target diagonal {tuple(diag.tolist())} is not on the separable boundary "
+            f"(|dx|+|dy|+|dz| = {norm!r})"
         )
     signs = np.where(diag < 0, -1.0, 1.0)
     root = np.sqrt(np.abs(diag))
@@ -386,22 +392,19 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
         visibility = float(doc["t"])
         kind = doc["response_kind"]
         scale = float(doc["scale"])
-        raw_atoms = doc["atoms"]
+        atoms = tuple(
+            Atom(
+                weight=float(a["q"]),
+                bloch=np.asarray(a["lambda"], dtype=float),
+                preimage=np.asarray(a["lambda_prime"], dtype=float),
+                alice_bloch=(np.asarray(a["eta"], dtype=float) if "eta" in a else None),
+            )
+            for a in doc["atoms"]
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
-    atoms = tuple(
-        Atom(
-            weight=float(a["q"]),
-            bloch=np.asarray(a["lambda"], dtype=float),
-            preimage=np.asarray(a["lambda_prime"], dtype=float),
-            alice_bloch=(np.asarray(a["eta"], dtype=float) if "eta" in a else None),
-        )
-        for a in raw_atoms
-    )
     if kind == "sign_mixture":
-        poly = polyhedron_from_vertices(
-            np.stack([a.preimage for a in atoms]), kind="custom"
-        )
+        poly = polyhedron_from_vertices(_unit_rows(atoms, "preimage"), kind="custom")
         response: SignMixture | LinearResponse = SignMixture(poly, scale)
     elif kind == "linear":
         response = LinearResponse()

@@ -18,13 +18,13 @@ UNIT_TOL = 1e-12
 PHYSICALITY_TOL = 1e-12
 
 
-def as_unit_vector(v, what: str = "vector", tol: float = UNIT_TOL) -> np.ndarray:
+def as_unit_vector(v, what: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{what} must have shape (3,), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
-    if abs(np.linalg.norm(arr) - 1.0) > tol:
+    if abs(np.linalg.norm(arr) - 1.0) > UNIT_TOL:
         raise ValueError(f"{what} must be a unit vector, |v| = {np.linalg.norm(arr)!r}")
     return arr
 
@@ -125,14 +125,14 @@ def max_physical_visibility(corr: DiagMat3) -> float:
     return math.inf if slope <= 0.0 else (1.0 + 4.0 * PHYSICALITY_TOL) / slope
 
 
-def concurrence_axial(corr: DiagMat3, visibility: float, tol: float = UNIT_TOL) -> float:
+def concurrence_axial(corr: DiagMat3, visibility: float) -> float:
     """Concurrence of the state with correlation ``visibility * corr``.
 
     Only valid for axially symmetric diagonals (|dx| == |dy|), where the
     closed form ``max(0, (2 t |dx| + t |dz| - 1) / 2)`` holds for every
     physical input.
     """
-    if abs(abs(corr.dx) - abs(corr.dy)) > tol:
+    if abs(abs(corr.dx) - abs(corr.dy)) > UNIT_TOL:
         raise ValueError(
             f"axial symmetry requires |dx| == |dy|, got ({corr.dx!r}, {corr.dy!r})"
         )

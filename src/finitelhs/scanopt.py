@@ -157,13 +157,12 @@ def scan_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
     return _axial_points(curve.t0z, curve.t0x)
 
 
-def zero_entanglement_interval(points: list[AxialPoint],
-                               tol: float = 1e-12) -> tuple[float, float] | None:
-    """Longest contiguous t0z interval of the scan with zero concurrence."""
+def zero_entanglement_interval(points: list[AxialPoint]) -> tuple[float, float] | None:
+    """Longest contiguous t0z interval of the scan with concurrence <= 1e-12."""
     best: tuple[float, float] | None = None
     start = None
     for i, p in enumerate(points):
-        if p.concurrence <= tol:
+        if p.concurrence <= 1e-12:
             if start is None:
                 start = i
             if best is None or points[i].t0z - points[start].t0z > best[1] - best[0]:

@@ -28,9 +28,9 @@ def format_float(value: float, digits: int = JSON_FLOAT_DIGITS) -> str:
     return format(value, f".{digits}g")
 
 
-def _emit(obj: Any, digits: int, indent: int, level: int, out: list[str]) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _emit(obj: Any, level: int, out: list[str]) -> None:
+    pad = "  " * (level + 1)
+    closing = "  " * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -42,7 +42,7 @@ def _emit(obj: Any, digits: int, indent: int, level: int, out: list[str]) -> Non
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj, digits))
+        out.append(format_float(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -52,7 +52,7 @@ def _emit(obj: Any, digits: int, indent: int, level: int, out: list[str]) -> Non
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(pad + _json.dumps(key) + ": ")
-            _emit(val, digits, indent, level + 1, out)
+            _emit(val, level + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -63,17 +63,17 @@ def _emit(obj: Any, digits: int, indent: int, level: int, out: list[str]) -> Non
         out.append("[\n")
         for i, val in enumerate(items):
             out.append(pad)
-            _emit(val, digits, indent, level + 1, out)
+            _emit(val, level + 1, out)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(closing + "]")
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps(obj: Any, digits: int = JSON_FLOAT_DIGITS, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     """Render obj as JSON text with fixed float precision and key order."""
     out: list[str] = []
-    _emit(obj, digits, indent, 0, out)
+    _emit(obj, 0, out)
     out.append("\n")
     return "".join(out)
 
@@ -82,19 +82,18 @@ def loads(text: str) -> Any:
     return _json.loads(text)
 
 
-def _cell(value: Any, digits: int) -> str:
+def _cell(value: Any) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format_float(value, digits)
+    return format_float(value, CSV_FLOAT_DIGITS)
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]],
-             digits: int = CSV_FLOAT_DIGITS) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_cell(v, digits) for v in row))
+        lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"

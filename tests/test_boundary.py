@@ -112,8 +112,9 @@ def test_axial_solve_domain_errors():
         axial_boundary_solve(0.0)
     with pytest.raises(ValueError):
         axial_boundary_solve(1.2)
-    with pytest.raises(ValueError):
-        axial_boundary_solve(0.5, tol=0.0)
+    for tol in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            axial_boundary_solve(0.5, tol=tol)
 
 
 def test_sample_axial_family_grid_and_monotonicity():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -439,6 +440,82 @@ def test_verify_degenerate_preimages_exit_2(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error:") and reason in err
         assert len(err.splitlines()) == 1
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _first_atom(doc, **fields):
+    return {**doc, "atoms": [{**doc["atoms"][0], **fields}, *doc["atoms"][1:]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: _first_atom(d, q=NAN), "atom weights must be finite and nonnegative, got nan"),
+    (lambda d: {**d, "t": NAN}, "visibility must be finite and nonnegative, got nan"),
+    (lambda d: {**d, "t": INF}, "visibility must be finite and nonnegative, got inf"),
+    (lambda d: {**d, "atoms": {"a": 1}}, "malformed model document"),
+    (lambda d: {**d, "atoms": [1.5, *d["atoms"][1:]]}, "malformed model document"),
+    (lambda d: _first_atom(d, **{"lambda": [0.0, 1.0]}), "atom bloch must have shape (3,), got (2,)"),
+    (lambda d: {**d, "atoms": []}, "model needs at least one atom"),
+    (lambda d: _first_atom(d, eta=[NAN, 0.0, 0.0]), "atom alice_bloch must be finite"),
+], ids=["nan-q", "nan-t", "inf-t", "atoms-object", "atom-number", "short-lambda", "no-atoms",
+        "nan-eta"])
+def test_verify_malformed_model_exit_2(capsys, tmp_path, edit, message):
+    """Every malformed or non-finite model entry is an input error: exit
+    2, one line naming the entry, no traceback."""
+    path = tmp_path / "m.json"
+    code, _, _ = run(capsys, ["model", "icosa", "--t0", "-0.5", "-0.4", "-0.3",
+                              "--orientation", "random", "--out", str(path)])
+    assert code == 0
+    path.write_text(json.dumps(edit(serialize.loads(path.read_text()))))
+    code, out, err = run(capsys, ["verify", "--model", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_model_non_finite_quaternion_exit_2(capsys, bad):
+    code, out, err = run(capsys, ["model", "icosa", "--t0", "-0.5", "-0.5", "-0.5",
+                                  "--orientation", bad, "1", "0", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad orientation quaternion:") and "finite" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,tol", [("boundary", "nan"), ("boundary", "inf"),
+                                         ("scan", "nan")])
+def test_non_finite_tol_exit_2(capsys, command, tol):
+    """--tol nan once gave t0x = 0 at t0z = 1, --tol inf t0x = 0.7500005 on
+    every row, and scan --tol nan a message full of arrays."""
+    code, out, err = run(capsys, [command, "--n", "4", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: tolerance must be positive and finite, got {tol}\n"
+
+
+def test_error_messages_print_plain_numbers(capsys, tmp_path):
+    """numpy 2 scalars are formatted as floats, not as np.float64(...)."""
+    code, _, err = run(capsys, ["model", "icosa", *WERNER_ARGS, "--t", "0.9"])
+    assert code == 2
+    assert err.startswith("error: requested visibility 0.9 is outside [0, 0.857185296986793")
+    assert "np." not in err
+    code, _, err = run(capsys, ["model", "tetra", "--t", "0.4", "0.4", "-0.3"])
+    assert code == 2
+    assert err.startswith("error: target diagonal (0.4, 0.4, -0.3) is not on")
+    assert "np." not in err
+    path = tmp_path / "m.json"
+    run(capsys, ["model", "icosa", *WERNER_ARGS, "--out", str(path)])
+    path.write_text(json.dumps(_first_atom(serialize.loads(path.read_text()), q=0.1)))
+    code, _, err = run(capsys, ["verify", "--model", str(path)])
+    assert code == 2
+    assert err.startswith("error: atom weights must sum to 1, got 1.01")
+    assert "np." not in err
 
 
 def test_cli_imports_no_scipy(tmp_path):

@@ -266,6 +266,16 @@ def test_rotation_rejects_non_unit_quaternion():
         Rotation(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rotation_rejects_non_finite_quaternion(bad):
+    """A NaN quaternion once passed the unit check (|q| - 1 is NaN)."""
+    with pytest.raises(ValueError, match="finite"):
+        Rotation(np.array([bad, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Rotation.from_quat([bad, 1.0, 0.0, 0.0])
+
+
 def test_rotation_to_z_cases(rng):
     for u in random_unit_vectors(rng, 20):
         assert np.allclose(rotation_to_z(u).apply(u), [0, 0, 1], atol=1e-12)

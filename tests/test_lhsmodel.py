@@ -23,6 +23,7 @@ from finitelhs.lhsmodel import (
     Atom,
     FiniteLhsModel,
     LinearResponse,
+    SignMixture,
     VerificationReport,
     build_polyhedron_model,
     build_separable_tetrahedron_model,
@@ -52,6 +53,7 @@ WERNER = DiagMat3(-0.5, -0.5, -0.5)
 GAMMA = 1 + np.sqrt(5)
 INRADIUS = np.sqrt((5 + 2 * np.sqrt(5)) / 15)
 WERNER_T_MAX = GAMMA * INRADIUS / 3  # = 0.8571852969867928
+QUATS = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
 
 
 def vertex_model(t=None):
@@ -180,6 +182,11 @@ def test_generic_rejects_unsupported_polyhedron():
 def test_generic_rejects_tetrahedron():
     with pytest.raises(ValueError):
         build_polyhedron_model(DiagMat3(0.3, 0.3, 0.3), tetrahedron())
+
+
+def test_sign_mixture_needs_inversion_symmetry():
+    with pytest.raises(ValueError, match="'tetrahedron': not inversion symmetric"):
+        SignMixture(tetrahedron())
 
 
 def test_response_at_vertex_direction():
@@ -331,11 +338,17 @@ def test_model_weight_normalization_enforced():
 
 
 def test_atom_validation():
+    """Atoms are plain records; the model checks their fields as arrays."""
     unit = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        Atom(-0.1, unit, unit)
-    with pytest.raises(ValueError):
-        Atom(0.5, 2 * unit, unit)
+
+    def lone(*atoms):
+        return FiniteLhsModel(atoms=atoms, response=LinearResponse(),
+                              target=DiagMat3(0.0, 0.0, 1.0), visibility=1.0)
+
+    with pytest.raises(ValueError, match="nonnegative, got -0.1 at atom 0"):
+        lone(Atom(-0.1, unit, unit, unit), Atom(1.1, unit, unit, unit))
+    with pytest.raises(ValueError, match="atom bloch must be unit vectors"):
+        lone(Atom(0.5, 2 * unit, unit, unit), Atom(0.5, unit, unit, unit))
 
 
 def test_simulated_state_matches_target_scaling():
@@ -384,6 +397,33 @@ def test_serialization_field_order_and_precision():
     doc = model_to_dict(model)
     assert doc["atoms"][0]["q"] == pytest.approx(1 / 12, abs=1e-16)
     assert doc["response_kind"] == "sign_mixture"
+
+
+def _model_arrays(m: FiniteLhsModel) -> list:
+    return [m._weights, m._blochs, m._preimages, m._alice_blochs,
+            m.target.as_array(), m.visibility, getattr(m.response, "scale", 1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron]), QUATS,
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_max=True))
+@example(icosahedron, (1.0, 0.0, 0.0, 0.0), 0, 0.5)
+def test_json_roundtrip_is_identical(solid, quat, seed, fraction):
+    """A JSON round trip returns the same arrays, bit for bit, for the
+    sign-mixture models of the three solids at random orientations,
+    physical diagonals and sub-maximal visibilities, and for the
+    tetrahedron model on the diagonal scaled onto the separable boundary."""
+    diag = random_physical_diag(np.random.default_rng(seed))[0]
+    assume(np.abs(diag).min() > 1e-3)
+    p = solid(Rotation.from_quat(quat))
+    cap = build_polyhedron_model(as_diag(diag), p)
+    models = [build_polyhedron_model(as_diag(diag), p, visibility=fraction * cap.visibility),
+              build_separable_tetrahedron_model(as_diag(diag / np.abs(diag).sum()))]
+    for model in models:
+        clone = model_from_json(model_to_json(model))
+        assert type(clone.response) is type(model.response)
+        for a, b in zip(_model_arrays(model), _model_arrays(clone)):
+            assert np.array_equal(a, b)
 
 
 def test_model_from_dict_rejects_malformed():
@@ -451,9 +491,6 @@ def test_max_residual_keeps_nan():
     report = VerificationReport(0.0, 2e-3, 1e-3, 0.0, 3e-3, n_directions=1)
     assert report.max_residual == 3e-3
     assert report.worst() == {"residual": "certificate_err", "face": None}
-
-
-QUATS = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
 
 
 @settings(max_examples=60, deadline=None)
