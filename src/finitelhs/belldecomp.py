@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qstate import TState
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -29,14 +27,6 @@ BELL_BASIS = np.stack([
     (_E[1] + _E[2]) / np.sqrt(2.0),
     (_E[1] - _E[2]) / np.sqrt(2.0),
 ], axis=1)
-
-
-def tstate_density(state: TState) -> np.ndarray:
-    """The 4x4 density matrix (I + sum_k d_k sigma_k (x) sigma_k) / 4."""
-    rho = np.eye(4, dtype=complex)
-    for d, sigma in zip(state.corr.as_array(), PAULIS):
-        rho += d * np.kron(sigma, sigma)
-    return rho / 4.0
 
 
 def critical_separable_density() -> np.ndarray:

@@ -21,10 +21,10 @@ on a grid of directions from the same per-region maps, without forming
 the (directions x atoms) response matrix.  The report names the largest
 residual and the face where the certificate is worst.
 
-Each rule on a model's contents is checked once, by its owner:
-:class:`FiniteLhsModel` checks the fields of its atoms, plain
-:class:`Atom` records, as stacked arrays, and :class:`SignMixture`
-rejects a polyhedron that is not inversion symmetric.
+A model is its arrays: :class:`FiniteLhsModel` holds the weights, Bloch
+vectors, preimages and (for a linear response) Alice's vectors of its
+atoms as read-only stacked arrays, and checks each rule on them once.
+:class:`SignMixture` rejects a polyhedron that is not inversion symmetric.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import numpy as np
 
 from . import serialize
 from .geometry import (
+    ICOSAHEDRON_INRADIUS,
+    ICOSAHEDRON_SIGN_SUM,
     Polyhedron,
     exit_faces,
     fibonacci_sphere,
@@ -53,12 +55,10 @@ DEFAULT_VERIFY_DIRECTIONS = 1024
 
 @dataclass(frozen=True, eq=False)
 class Atom:
-    """One hidden state: probability ``weight``, Bloch vector ``bloch``.
-
-    ``preimage`` is the unit direction the Bloch vector was mapped from
-    (polyhedron vertex); responses for mixture models are evaluated on it.
-    ``alice_bloch`` is set only for linear-response models.
-    """
+    """One hidden state of a model, as :attr:`FiniteLhsModel.atoms` lists
+    it: probability ``weight``, Bloch vector ``bloch``, the unit direction
+    ``preimage`` it was mapped from (a polyhedron vertex) and, for a
+    linear response only, Alice's vector ``alice_bloch``."""
 
     weight: float
     bloch: np.ndarray
@@ -87,33 +87,31 @@ class LinearResponse:
     """Response f(x, atom) = x . alice_bloch."""
 
 
-def _unit_rows(atoms: tuple[Atom, ...], field: str) -> np.ndarray:
-    """The atoms' ``field`` vectors as an (n, 3) array of n >= 1 unit rows."""
-    if not atoms:
-        raise ValueError("model needs at least one atom")
-    rows = [np.asarray(getattr(a, field), dtype=float) for a in atoms]
-    shape = next((r.shape for r in rows if r.shape != (3,)), None)
-    if shape is not None:
-        raise ValueError(f"atom {field} must have shape (3,), got {shape}")
-    return as_unit_rows(np.stack(rows), f"atom {field}")
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteLhsModel:
-    """A finite LHS model simulating TState(visibility * target).  It keeps
-    the atom fields it checked as ``_weights``, ``_blochs``, ``_preimages``
-    and ``_alice_blochs`` (None for a sign mixture)."""
+    """A finite LHS model simulating TState(visibility * target).
 
-    atoms: tuple[Atom, ...]
+    Atom i has probability ``weights[i]``, Bloch vector ``blochs[i]`` and
+    preimage ``preimages[i]``; ``etas[i]`` is Alice's vector under a linear
+    response, and ``etas`` is None for a sign mixture.  The model keeps
+    read-only copies of the arrays it checked.
+    """
+
+    weights: np.ndarray
+    blochs: np.ndarray
+    preimages: np.ndarray
     response: SignMixture | LinearResponse
     target: DiagMat3
     visibility: float
+    etas: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
-        blochs = _unit_rows(atoms, "bloch")
-        preimages = _unit_rows(atoms, "preimage")
-        q = np.array([a.weight for a in atoms], dtype=float)
+        q = np.array(self.weights, dtype=float)
+        blochs = as_unit_rows(np.array(self.blochs, dtype=float), "atom bloch")
+        preimages = as_unit_rows(np.array(self.preimages, dtype=float), "atom preimage")
+        if q.shape != (len(blochs),) or preimages.shape != blochs.shape:
+            raise ValueError(f"model needs one bloch and one preimage per weight, got shapes "
+                             f"{q.shape}, {blochs.shape} and {preimages.shape}")
         bad = ~(np.isfinite(q) & (q >= -WEIGHT_TOL))
         if bad.any():
             i = int(np.argmax(bad))
@@ -124,27 +122,33 @@ class FiniteLhsModel:
             raise ValueError(f"atom weights must sum to 1, got {total!r}")
         if not (np.isfinite(self.visibility) and self.visibility >= 0):
             raise ValueError(f"visibility must be finite and nonnegative, got {self.visibility!r}")
-        sign_mixture = isinstance(self.response, SignMixture)
-        given = tuple(a for a in atoms if a.alice_bloch is not None)
-        if sign_mixture:
+        # a sign mixture ignores etas, but ones that are given must be valid
+        etas = None if self.etas is None else as_unit_rows(
+            np.array(self.etas, dtype=float), "atom alice_bloch")
+        if isinstance(self.response, SignMixture):
             mapped = self.target.apply(preimages)
             norms = np.linalg.norm(mapped, axis=1)
             if norms.min() <= 0:
                 raise ValueError("target maps an atom preimage to zero")
             err = np.linalg.norm(mapped / norms[:, None] - blochs, axis=1).max()
             if err > ATOM_MAP_TOL:
-                raise ValueError(
-                    f"atom blochs are not the normalized target images of their "
-                    f"preimages (residual {err:.3e})"
-                )
-        elif len(given) < len(atoms):
+                raise ValueError(f"atom blochs are not the normalized target images of their "
+                                 f"preimages (residual {err:.3e})")
+            etas = None
+        elif etas is None or etas.shape != blochs.shape:
             raise ValueError("linear-response atoms need alice_bloch set")
-        # a sign mixture ignores alice_bloch, but one that is set must be valid
-        etas = _unit_rows(given, "alice_bloch") if given else None
-        for name, value in (("atoms", atoms), ("_weights", q), ("_blochs", blochs),
-                            ("_preimages", preimages),
-                            ("_alice_blochs", None if sign_mixture else etas)):
+        for name, value in (("weights", q), ("blochs", blochs),
+                            ("preimages", preimages), ("etas", etas)):
+            if value is not None:
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms as :class:`Atom` records, built from the arrays."""
+        etas = [None] * len(self.weights) if self.etas is None else self.etas
+        return tuple(Atom(float(q), b, p, e) for q, b, p, e
+                     in zip(self.weights, self.blochs, self.preimages, etas))
 
     def simulated_state(self) -> TState:
         """The state this model reproduces; raises if it is not physical."""
@@ -170,32 +174,25 @@ def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
     One atom per vertex: weight |T0 v_i| / sum_j |T0 v_j| and Bloch vector
     T0 v_i normalized (see :func:`mapped_norms`).  The maximum visibility
     is  c * inradius / sum_j |T0 v_j|; a smaller ``visibility`` is reached
-    by scaling the response.
+    by scaling the response.  An icosahedron takes the exact c and
+    inradius, as the scan and the orientation search do.
     """
     if target.is_singular:
-        raise ValueError(
-            f"target diagonal ({target.dx}, {target.dy}, {target.dz}) is singular; "
-            "the vertex mapping is undefined"
-        )
-    c = sign_sum_constant(poly)
+        raise ValueError(f"target diagonal ({target.dx}, {target.dy}, {target.dz}) is "
+                         "singular; the vertex mapping is undefined")
+    c, inradius = sign_sum_constant(poly), poly.inradius
+    if poly.kind == "icosahedron":
+        c, inradius = ICOSAHEDRON_SIGN_SUM, ICOSAHEDRON_INRADIUS
     norms, total = mapped_norms(poly.vertices, target.as_array())
-    t_max = float(c * poly.inradius / total)
+    t_max = float(c * inradius / total)
     if visibility is None:
         visibility = t_max
-        scale = 1.0
-    else:
-        if not (0.0 <= visibility <= t_max + 1e-12):
-            raise ValueError(
-                f"requested visibility {visibility!r} is outside [0, {t_max!r}]"
-            )
-        scale = min(visibility / t_max, 1.0)
-    q = norms / total
-    blochs = target.apply(poly.vertices) / norms[:, None]
-    atoms = tuple(
-        Atom(weight=float(q[i]), bloch=blochs[i], preimage=poly.vertices[i])
-        for i in range(len(poly.vertices))
-    )
-    return FiniteLhsModel(atoms=atoms, response=SignMixture(poly, scale),
+    elif not (0.0 <= visibility <= t_max + 1e-12):
+        raise ValueError(f"requested visibility {visibility!r} is outside [0, {t_max!r}]")
+    scale = min(visibility / t_max, 1.0)
+    return FiniteLhsModel(weights=norms / total,
+                          blochs=target.apply(poly.vertices) / norms[:, None],
+                          preimages=poly.vertices, response=SignMixture(poly, scale),
                           target=target, visibility=float(visibility))
 
 
@@ -220,13 +217,9 @@ def build_separable_tetrahedron_model(target: DiagMat3) -> FiniteLhsModel:
     tet = tetrahedron()
     blochs = np.sqrt(3.0) * tet.vertices * root
     blochs /= np.linalg.norm(blochs, axis=1, keepdims=True)
-    atoms = tuple(
-        Atom(weight=0.25, bloch=blochs[i], preimage=tet.vertices[i],
-             alice_bloch=signs * blochs[i])
-        for i in range(4)
-    )
-    return FiniteLhsModel(atoms=atoms, response=LinearResponse(),
-                          target=target, visibility=1.0)
+    return FiniteLhsModel(weights=np.full(4, 0.25), blochs=blochs, preimages=tet.vertices,
+                          response=LinearResponse(), target=target, visibility=1.0,
+                          etas=signs * blochs)
 
 
 def response_maps(model: FiniteLhsModel) -> np.ndarray:
@@ -242,11 +235,11 @@ def response_maps(model: FiniteLhsModel) -> np.ndarray:
     """
     if isinstance(model.response, SignMixture):
         poly = model.response.polyhedron
-        signs = vertex_signs(poly.vertices, model._preimages)     # (vertices, atoms)
+        signs = vertex_signs(poly.vertices, model.preimages)     # (vertices, atoms)
         inv = poly._face_frames[2]
         return (model.response.scale * poly.inradius) * (
             inv.transpose(0, 2, 1) @ signs[poly.faces])
-    return model._alice_blochs.T[None]
+    return model.etas.T[None]
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -318,8 +311,8 @@ def verify_model(model: FiniteLhsModel, state: TState,
         x = fibonacci_sphere(DEFAULT_VERIFY_DIRECTIONS)
     else:
         x = as_unit_rows(directions, "verification directions")
-    q = model._weights
-    blochs = model._blochs
+    q = model.weights
+    blochs = model.blochs
     # column 0 of each region is a, columns 1..3 are M
     coeffs = response_maps(model) @ np.column_stack([q, q[:, None] * blochs])
     corr = state.corr.as_array()
@@ -350,7 +343,7 @@ def verify_model(model: FiniteLhsModel, state: TState,
 
 def entropy_bits(model: FiniteLhsModel) -> float:
     """Shannon entropy of the atom weights, in bits."""
-    q = model._weights
+    q = model.weights
     q = q[q > 0]
     return float(-(q * np.log2(q)).sum())
 
@@ -358,22 +351,16 @@ def entropy_bits(model: FiniteLhsModel) -> float:
 def model_to_dict(model: FiniteLhsModel) -> dict:
     kind = "sign_mixture" if isinstance(model.response, SignMixture) else "linear"
     scale = model.response.scale if isinstance(model.response, SignMixture) else 1.0
-    atoms = []
-    for a in model.atoms:
-        entry = {
-            "q": a.weight,
-            "lambda": list(a.bloch),
-            "lambda_prime": list(a.preimage),
-        }
-        if a.alice_bloch is not None:
-            entry["eta"] = list(a.alice_bloch)
-        atoms.append(entry)
+    columns = {"q": model.weights, "lambda": model.blochs, "lambda_prime": model.preimages}
+    if model.etas is not None:
+        columns["eta"] = model.etas
+    rows = zip(*(column.tolist() for column in columns.values()))
     return {
         "t0": list(model.target.as_array()),
         "t": model.visibility,
         "response_kind": kind,
         "scale": scale,
-        "atoms": atoms,
+        "atoms": [dict(zip(columns, row)) for row in rows],
     }
 
 
@@ -381,37 +368,49 @@ def model_to_json(model: FiniteLhsModel) -> str:
     return serialize.dumps(model_to_dict(model))
 
 
+def _entry(i: int, atom: dict, key: str) -> np.ndarray:
+    """Field ``key`` of atom ``i`` as a float array: a number for ``q``, a
+    3-vector otherwise.  A bad entry is named by its atom and key."""
+    try:
+        value = np.asarray(atom[key], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"atom {i} {key}: {exc}") from exc
+    shape = () if key == "q" else (3,)
+    if value.shape != shape:
+        raise ValueError(f"atom {i} {key} must have shape {shape}, got {value.shape}")
+    return value
+
+
 def model_from_dict(doc: dict) -> FiniteLhsModel:
     """Rebuild a model from its serialized form.
 
     Sign-mixture models carry one atom per polyhedron vertex, so the
     response polyhedron is recovered as the hull of the atom preimages.
+    A sign mixture's ``eta`` entries are checked and dropped.
     """
     try:
         target = DiagMat3.from_array(doc["t0"])
         visibility = float(doc["t"])
         kind = doc["response_kind"]
         scale = float(doc["scale"])
-        atoms = tuple(
-            Atom(
-                weight=float(a["q"]),
-                bloch=np.asarray(a["lambda"], dtype=float),
-                preimage=np.asarray(a["lambda_prime"], dtype=float),
-                alice_bloch=(np.asarray(a["eta"], dtype=float) if "eta" in a else None),
-            )
-            for a in doc["atoms"]
-        )
+        atoms = list(doc["atoms"])
+        if not atoms:
+            raise ValueError("model needs at least one atom")
+        q, blochs, preimages = (np.array([_entry(i, a, key) for i, a in enumerate(atoms)])
+                                for key in ("q", "lambda", "lambda_prime"))
+        etas = [_entry(i, a, "eta") for i, a in enumerate(atoms) if "eta" in a]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     if kind == "sign_mixture":
-        poly = polyhedron_from_vertices(_unit_rows(atoms, "preimage"), kind="custom")
+        poly = polyhedron_from_vertices(as_unit_rows(preimages, "atom preimage"), kind="custom")
         response: SignMixture | LinearResponse = SignMixture(poly, scale)
     elif kind == "linear":
         response = LinearResponse()
     else:
         raise ValueError(f"unknown response_kind {kind!r}")
-    return FiniteLhsModel(atoms=atoms, response=response,
-                          target=target, visibility=visibility)
+    return FiniteLhsModel(weights=q, blochs=blochs, preimages=preimages, response=response,
+                          target=target, visibility=visibility,
+                          etas=np.array(etas) if etas else None)
 
 
 def model_from_json(text: str) -> FiniteLhsModel:

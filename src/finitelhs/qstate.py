@@ -45,13 +45,15 @@ def as_unit_rows(x, what: str = "directions") -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiagMat3:
-    """A real diagonal 3x3 matrix, stored as its diagonal."""
+    """A real diagonal 3x3 matrix, stored as its diagonal of Python floats."""
 
     dx: float
     dy: float
     dz: float
 
     def __post_init__(self) -> None:
+        for name in ("dx", "dy", "dz"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.dx) and math.isfinite(self.dy)
                 and math.isfinite(self.dz)):
             raise ValueError(
@@ -77,7 +79,7 @@ class DiagMat3:
         a = np.asarray(arr, dtype=float)
         if a.shape != (3,):
             raise ValueError(f"diagonal must have 3 entries, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]))
+        return cls(*a)
 
 
 # Correlation diagonals of the four Bell states: Bell weight k of the state

@@ -61,8 +61,12 @@ def analytic_norm_constants(t0x, t0z) -> tuple:
     Elementwise: three floats for scalar entries, three arrays otherwise.
     """
     t0x, t0z = np.asarray(t0x, dtype=float), np.asarray(t0z, dtype=float)
-    if (t0x <= 0).any() or (t0z <= 0).any():
-        raise ValueError(f"axial entries must be positive, got ({t0x!r}, {t0z!r})")
+    bad = (t0x <= 0) | (t0z <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        x, z = (float(np.broadcast_to(a, bad.shape).flat[i]) for a in (t0x, t0z))
+        raise ValueError(f"axial entries must be positive, got ({x!r}, {z!r})"
+                         + (f" at index {i}" if bad.ndim else ""))
     big_x, big_z = t0x * t0x, t0z * t0z
     s_vertex = 6.0 / (np.sqrt(big_z) + np.sqrt(20.0 * big_x + 5.0 * big_z))
     s_face = np.sqrt(30.0) / (

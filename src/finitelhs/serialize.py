@@ -82,17 +82,11 @@ def loads(text: str) -> Any:
     return _json.loads(text)
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(value, CSV_FLOAT_DIGITS)
+def _cell(value: str | float) -> str:
+    return value if isinstance(value, str) else format_float(value, CSV_FLOAT_DIGITS)
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str | float]]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))

@@ -1,14 +1,15 @@
 """Measurement-level view of a T-state, one direction at a time: Alice's
-projective measurements, Bob's conditional states and the Bell weights of
-a state.  The package works on the correlation diagonal alone; these are
-the per-measurement objects the tests check it against.
+projective measurements, Bob's conditional states, and the explicit
+density matrix and Bell weights of a state.  The package works on the
+correlation diagonal alone; these are the per-measurement objects the
+tests check it against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from finitelhs.belldecomp import BELL_BASIS, tstate_density
+from finitelhs.belldecomp import BELL_BASIS, PAULIS
 from finitelhs.qstate import PHYSICALITY_TOL, TState, as_unit_vector
 
 
@@ -54,6 +55,14 @@ def assemblage(state: TState, m: Measurement) -> HalfState:
     """
     s = 0.5 * m.outcome * state.corr.apply(m.axis)
     return HalfState(trace=0.5, bloch=s)
+
+
+def tstate_density(state: TState) -> np.ndarray:
+    """The 4x4 density matrix (I + sum_k d_k sigma_k (x) sigma_k) / 4."""
+    rho = np.eye(4, dtype=complex)
+    for d, sigma in zip(state.corr.as_array(), PAULIS):
+        rho += d * np.kron(sigma, sigma)
+    return rho / 4.0
 
 
 def bell_weights(state: TState) -> np.ndarray:

@@ -10,7 +10,7 @@ remainder included.
 import numpy as np
 
 from finitelhs.geometry import Polyhedron, decompose_directions, vertex_signs
-from finitelhs.lhsmodel import Atom, FiniteLhsModel, SignMixture
+from finitelhs.lhsmodel import FiniteLhsModel, SignMixture
 from finitelhs.qstate import as_unit_vector
 
 from qstate_oracle import Measurement
@@ -22,18 +22,16 @@ def convex_decompose(p: Polyhedron, x) -> np.ndarray:
     return decompose_directions(p, x[None, :])[0]
 
 
-def response_value(model: FiniteLhsModel, atom: Atom, x) -> float:
-    """Alice's outcome bias f(x, atom), in [-1, 1]."""
+def response_value(model: FiniteLhsModel, i: int, x) -> float:
+    """Alice's outcome bias f(x, atom i), in [-1, 1]."""
     x = as_unit_vector(x, "measurement axis")
     if isinstance(model.response, SignMixture):
         weights = convex_decompose(model.response.polyhedron, x)
-        signs = vertex_signs(model.response.polyhedron.vertices, atom.preimage)
+        signs = vertex_signs(model.response.polyhedron.vertices, model.preimages[i])
         return float(model.response.scale * (weights @ signs))
-    if atom.alice_bloch is None:
-        raise ValueError("linear-response atom is missing alice_bloch")
-    return float(x @ atom.alice_bloch)
+    return float(x @ model.etas[i])
 
 
-def response_probability(model: FiniteLhsModel, atom: Atom, m: Measurement) -> float:
-    """p(outcome | axis, atom) = (1 + outcome * f) / 2."""
-    return 0.5 * (1.0 + m.outcome * response_value(model, atom, m.axis))
+def response_probability(model: FiniteLhsModel, i: int, m: Measurement) -> float:
+    """p(outcome | axis, atom i) = (1 + outcome * f) / 2."""
+    return 0.5 * (1.0 + m.outcome * response_value(model, i, m.axis))

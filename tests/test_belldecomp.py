@@ -9,14 +9,13 @@ from finitelhs.belldecomp import (
     mirror_decomposition,
     product_state_decomposition,
     schmidt_residual,
-    tstate_density,
 )
 from finitelhs.geometry import tetrahedron
-from finitelhs.lhsmodel import Atom, FiniteLhsModel, LinearResponse, verify_model
+from finitelhs.lhsmodel import FiniteLhsModel, LinearResponse, verify_model
 from finitelhs.qstate import DiagMat3, TState, bell_weights_of_diag
 
 from conftest import as_diag, random_physical_diag, random_unit_vectors
-from qstate_oracle import bell_weights
+from qstate_oracle import bell_weights, tstate_density
 
 
 def sorted_rows(arr):
@@ -139,15 +138,17 @@ def test_extracted_vectors_make_a_working_lhs_model(rng):
     """The decomposition is itself a four-atom LHS model for the critical
     separable state: Bob's vectors are the hidden states, Alice responds
     linearly with her own."""
-    atoms = []
-    for vec in product_state_decomposition():
-        alice, bob = extract_local_blochs(vec)
-        atoms.append(Atom(weight=0.25, bloch=bob, preimage=bob, alice_bloch=alice))
+    pairs = [extract_local_blochs(v) for v in product_state_decomposition()]
+    alice = np.stack([p[0] for p in pairs])
+    bob = np.stack([p[1] for p in pairs])
     model = FiniteLhsModel(
-        atoms=tuple(atoms),
+        weights=np.full(4, 0.25),
+        blochs=bob,
+        preimages=bob,
         response=LinearResponse(),
         target=DiagMat3(-1 / 3, -1 / 3, -1 / 3),
         visibility=1.0,
+        etas=alice,
     )
     state = TState(DiagMat3(-1 / 3, -1 / 3, -1 / 3))
     report = verify_model(model, state, random_unit_vectors(rng, 500))

@@ -456,11 +456,13 @@ def _first_atom(doc, **fields):
     (lambda d: {**d, "t": INF}, "visibility must be finite and nonnegative, got inf"),
     (lambda d: {**d, "atoms": {"a": 1}}, "malformed model document"),
     (lambda d: {**d, "atoms": [1.5, *d["atoms"][1:]]}, "malformed model document"),
-    (lambda d: _first_atom(d, **{"lambda": [0.0, 1.0]}), "atom bloch must have shape (3,), got (2,)"),
+    (lambda d: _first_atom(d, **{"lambda": [0.0, 1.0]}), "atom 0 lambda must have shape (3,), got (2,)"),
     (lambda d: {**d, "atoms": []}, "model needs at least one atom"),
     (lambda d: _first_atom(d, eta=[NAN, 0.0, 0.0]), "atom alice_bloch must be finite"),
+    (lambda d: _first_atom(d, **{"lambda": ["a", 0, 0]}),
+     "atom 0 lambda: could not convert string to float: 'a'"),
 ], ids=["nan-q", "nan-t", "inf-t", "atoms-object", "atom-number", "short-lambda", "no-atoms",
-        "nan-eta"])
+        "nan-eta", "string-lambda"])
 def test_verify_malformed_model_exit_2(capsys, tmp_path, edit, message):
     """Every malformed or non-finite model entry is an input error: exit
     2, one line naming the entry, no traceback."""
@@ -503,7 +505,7 @@ def test_error_messages_print_plain_numbers(capsys, tmp_path):
     """numpy 2 scalars are formatted as floats, not as np.float64(...)."""
     code, _, err = run(capsys, ["model", "icosa", *WERNER_ARGS, "--t", "0.9"])
     assert code == 2
-    assert err.startswith("error: requested visibility 0.9 is outside [0, 0.857185296986793")
+    assert err.startswith("error: requested visibility 0.9 is outside [0, 0.8571852969867928]")
     assert "np." not in err
     code, _, err = run(capsys, ["model", "tetra", "--t", "0.4", "0.4", "-0.3"])
     assert code == 2

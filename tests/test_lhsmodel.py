@@ -20,7 +20,6 @@ from finitelhs.geometry import (
     vertex_signs,
 )
 from finitelhs.lhsmodel import (
-    Atom,
     FiniteLhsModel,
     LinearResponse,
     SignMixture,
@@ -60,12 +59,22 @@ def vertex_model(t=None):
     return build_polyhedron_model(WERNER, icosahedron(special_orientations()[0]), visibility=t)
 
 
+UNIT = np.array([0.0, 0.0, 1.0])
+
+
+def linear_model(weights, blochs) -> FiniteLhsModel:
+    """Linear-response atoms with ``weights`` and ``blochs``, each its own
+    preimage and eta, on the target diag(0, 0, 1)."""
+    return FiniteLhsModel(weights=weights, blochs=blochs, preimages=blochs,
+                          response=LinearResponse(), target=DiagMat3(0.0, 0.0, 1.0),
+                          visibility=1.0, etas=blochs)
+
+
 def test_werner_model_weights_and_visibility():
     model = vertex_model()
     assert model.visibility == pytest.approx(WERNER_T_MAX, abs=1e-12)
-    q = np.array([a.weight for a in model.atoms])
-    assert np.allclose(q, 1 / 12, atol=1e-15)
-    assert len(model.atoms) == 12
+    assert np.allclose(model.weights, 1 / 12, atol=1e-15)
+    assert model.weights.shape == (12,)
 
 
 def test_werner_model_verifies_at_t_max(rng):
@@ -133,11 +142,9 @@ def test_verify_model_detects_visibility_mismatch(rng):
 @example([(1.0, 0.0, 0.0, 0.0)], 0)
 def test_batched_visibility_matches_the_builder(quats, seed):
     """One mapped_norms call over a batch of rotated icosahedra and
-    physical diagonals gives each model's weights and, with the builder's
-    c and inradius, its visibility bit for bit.  With the exact constants
-    (what the orientation search and ``optimize`` use) the visibility is
-    within 8 eps relative: the builder takes c and the inradius from the
-    rotated vertices, and 40,000 random draws reached 4.6 eps."""
+    physical diagonals gives each model's weights and, with the exact
+    constants that the orientation search and ``optimize`` use, its
+    visibility, bit for bit."""
     assume(min(np.linalg.norm(q) for q in quats) > 0.1)
     polys = [icosahedron(Rotation.from_quat(q)) for q in quats]
     diags = random_physical_diag(np.random.default_rng(seed), len(quats))
@@ -146,9 +153,27 @@ def test_batched_visibility_matches_the_builder(quats, seed):
     exact = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / total
     for p, d, n, t, vis in zip(polys, diags, norms, total, exact):
         model = build_polyhedron_model(as_diag(d), p)
-        assert np.array_equal(n / t, model._weights)
-        assert sign_sum_constant(p) * p.inradius / t == model.visibility
-        assert abs(vis - model.visibility) <= 8 * np.finfo(float).eps * model.visibility
+        assert np.array_equal(n / t, model.weights)
+        assert vis == model.visibility
+
+
+@pytest.mark.parametrize("maker", [icosahedron, cube, octahedron])
+def test_visibility_is_one_formula_per_solid(maker, rng):
+    """At Haar-random orientations and physical diagonals, t_max is exactly
+    c * inradius / sum_i |T0 v_i| over the model's vertices: with the exact
+    constants for an icosahedron, which the scan and the orientation search
+    share, and with sign_sum_constant and the hull's inradius for the other
+    solids."""
+    for d in random_physical_diag(rng, 200):
+        if np.abs(d).min() < 1e-3:
+            continue
+        p = maker(random_rotation(rng))
+        _, total = mapped_norms(p.vertices, d)
+        if maker is icosahedron:
+            expected = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / total
+        else:
+            expected = sign_sum_constant(p) * p.inradius / total
+        assert build_polyhedron_model(as_diag(d), p).visibility == expected
 
 
 @pytest.mark.parametrize("maker", [cube, octahedron])
@@ -193,8 +218,7 @@ def test_response_at_vertex_direction():
     model = vertex_model()
     v = model.response.polyhedron.vertices
     for k in (0, 7):
-        atom = model.atoms[k]
-        got = response_value(model, atom, v[k])
+        got = response_value(model, k, v[k])
         # brute force: omega(v_k) . sign(v . v_k)
         w = convex_decompose(model.response.polyhedron, v[k])
         brute = float(w @ np.sign(v @ v[k]))
@@ -205,19 +229,19 @@ def test_response_at_vertex_direction():
 def test_response_scale_zero_everywhere(rng):
     model = vertex_model(t=0.0)
     for x in random_unit_vectors(rng, 50):
-        for atom in model.atoms[:3]:
-            assert response_value(model, atom, x) == 0.0
+        for i in range(3):
+            assert response_value(model, i, x) == 0.0
 
 
 def test_response_bound_and_probability_normalization(rng):
     model = vertex_model()
     xs = random_unit_vectors(rng, 1000)
-    for atom in model.atoms[:4]:
+    for i in range(4):
         for x in xs[:250]:
-            f = response_value(model, atom, x)
+            f = response_value(model, i, x)
             assert abs(f) <= 1.0 + 1e-14
-            p_plus = response_probability(model, atom, Measurement(x, 1))
-            p_minus = response_probability(model, atom, Measurement(x, -1))
+            p_plus = response_probability(model, i, Measurement(x, 1))
+            p_minus = response_probability(model, i, Measurement(x, -1))
             assert p_plus + p_minus == pytest.approx(1.0, abs=1e-15)
             assert 0.0 <= p_plus <= 1.0
 
@@ -226,12 +250,12 @@ def test_response_probability_values():
     # p(a | f) = (1 + a f) / 2
     assert 0.5 * (1 + (-1) * (-0.4)) == pytest.approx(0.7)
     model = build_separable_tetrahedron_model(DiagMat3(1 / 3, 1 / 3, 1 / 3))
-    atom = model.atoms[0]
-    x = np.array([atom.alice_bloch[1], -atom.alice_bloch[0], 0.0])
+    eta = model.etas[0]
+    x = np.array([eta[1], -eta[0], 0.0])
     x /= np.linalg.norm(x)
-    assert response_value(model, atom, x) == pytest.approx(0.0, abs=1e-15)
+    assert response_value(model, 0, x) == pytest.approx(0.0, abs=1e-15)
     m = Measurement(x, 1)
-    assert response_probability(model, atom, m) == pytest.approx(0.5, abs=1e-15)
+    assert response_probability(model, 0, m) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_response_odd_symmetry(rng):
@@ -241,25 +265,23 @@ def test_response_odd_symmetry(rng):
     if target.is_singular:
         target = DiagMat3(0.3, 0.3, 0.5)
     model = build_polyhedron_model(target, icosahedron(random_rotation(rng)))
-    pre = np.array([a.preimage for a in model.atoms])
-    q = np.array([a.weight for a in model.atoms])
-    for i, atom in enumerate(model.atoms):
-        j = int(np.argmin(np.linalg.norm(pre + atom.preimage, axis=1)))
-        assert np.linalg.norm(pre[j] + atom.preimage) < 1e-12
+    pre, q = model.preimages, model.weights
+    for i in range(len(q)):
+        j = int(np.argmin(np.linalg.norm(pre + pre[i], axis=1)))
+        assert np.linalg.norm(pre[j] + pre[i]) < 1e-12
         assert q[j] == pytest.approx(q[i], abs=1e-15)
         for x in random_unit_vectors(rng, 20):
-            assert response_value(model, model.atoms[j], x) == pytest.approx(
-                -response_value(model, atom, x), abs=1e-12)
+            assert response_value(model, j, x) == pytest.approx(
+                -response_value(model, i, x), abs=1e-12)
 
 
 def test_atom_mapping_consistency(rng):
     target = DiagMat3(0.6, 0.6, 0.25)
     model = build_polyhedron_model(target, icosahedron(random_rotation(rng)))
     inv = np.array([1 / 0.6, 1 / 0.6, 1 / 0.25])
-    for atom in model.atoms:
-        back = inv * atom.bloch
-        back /= np.linalg.norm(back)
-        assert np.linalg.norm(back - atom.preimage) < 1e-10
+    back = inv * model.blochs
+    back /= np.linalg.norm(back, axis=1, keepdims=True)
+    assert np.linalg.norm(back - model.preimages, axis=1).max() < 1e-10
 
 
 def test_werner_reduction_to_negated_sign_sum(rng):
@@ -269,37 +291,32 @@ def test_werner_reduction_to_negated_sign_sum(rng):
     poly = model.response.polyhedron
     xs = random_unit_vectors(rng, 100)
     w = decompose_directions(poly, xs)
-    for atom in model.atoms[:6]:
-        assert np.allclose(atom.bloch, -atom.preimage, atol=1e-12)
-        direct = w @ np.sign(poly.vertices @ atom.preimage)
-        via_lambda = -(w @ np.sign(poly.vertices @ atom.bloch))
+    for bloch, preimage in zip(model.blochs[:6], model.preimages[:6]):
+        assert np.allclose(bloch, -preimage, atol=1e-12)
+        direct = w @ np.sign(poly.vertices @ preimage)
+        via_lambda = -(w @ np.sign(poly.vertices @ bloch))
         assert np.allclose(direct, via_lambda, atol=1e-12)
 
 
 def test_tetrahedron_model_isotropic_positive():
     model = build_separable_tetrahedron_model(DiagMat3(1 / 3, 1 / 3, 1 / 3))
-    blochs = np.array([a.bloch for a in model.atoms])
-    assert np.allclose(np.sort(blochs, axis=0),
+    assert np.allclose(np.sort(model.blochs, axis=0),
                        np.sort(tetrahedron().vertices, axis=0), atol=1e-12)
-    for atom in model.atoms:
-        assert np.allclose(atom.alice_bloch, atom.bloch, atol=1e-15)
-        assert atom.weight == 0.25
+    assert np.allclose(model.etas, model.blochs, atol=1e-15)
+    assert np.array_equal(model.weights, np.full(4, 0.25))
 
 
 def test_tetrahedron_model_critical_werner_sign_fold():
     """Negative entries fold into Alice's vector: eta = -lambda."""
     model = build_separable_tetrahedron_model(DiagMat3(-1 / 3, -1 / 3, -1 / 3))
-    for atom in model.atoms:
-        assert np.allclose(atom.alice_bloch, -atom.bloch, atol=1e-15)
-    blochs = np.array([a.bloch for a in model.atoms])
-    assert np.allclose(np.sort(blochs, axis=0),
+    assert np.allclose(model.etas, -model.blochs, atol=1e-15)
+    assert np.allclose(np.sort(model.blochs, axis=0),
                        np.sort(tetrahedron().vertices, axis=0), atol=1e-12)
 
 
 def test_tetrahedron_model_unit_atoms():
     model = build_separable_tetrahedron_model(DiagMat3(0.5, 0.25, 0.25))
-    for atom in model.atoms:
-        assert np.linalg.norm(atom.bloch) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(np.linalg.norm(model.blochs, axis=1), 1.0, atol=1e-12)
 
 
 def test_tetrahedron_model_verifies(rng):
@@ -319,36 +336,57 @@ def test_entropy_values():
     assert entropy_bits(vertex_model()) == pytest.approx(np.log2(12), abs=1e-12)
     tetra = build_separable_tetrahedron_model(DiagMat3(1 / 3, 1 / 3, 1 / 3))
     assert entropy_bits(tetra) == 2.0
-    lone = FiniteLhsModel(
-        atoms=(Atom(1.0, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
-                    alice_bloch=np.array([0.0, 0.0, 1.0])),),
-        response=LinearResponse(),
-        target=DiagMat3(0.0, 0.0, 1.0),
-        visibility=1.0,
-    )
-    assert entropy_bits(lone) == 0.0
+    assert entropy_bits(linear_model([1.0], [UNIT])) == 0.0
 
 
 def test_model_weight_normalization_enforced():
-    atom = Atom(0.7, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
-                alice_bloch=np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        FiniteLhsModel(atoms=(atom,), response=LinearResponse(),
-                       target=DiagMat3(0.0, 0.0, 1.0), visibility=1.0)
+    with pytest.raises(ValueError, match="must sum to 1, got 0.7"):
+        linear_model([0.7], [UNIT])
 
 
 def test_atom_validation():
-    """Atoms are plain records; the model checks their fields as arrays."""
-    unit = np.array([0.0, 0.0, 1.0])
-
-    def lone(*atoms):
-        return FiniteLhsModel(atoms=atoms, response=LinearResponse(),
-                              target=DiagMat3(0.0, 0.0, 1.0), visibility=1.0)
-
+    """The model checks its arrays, each with its own message."""
     with pytest.raises(ValueError, match="nonnegative, got -0.1 at atom 0"):
-        lone(Atom(-0.1, unit, unit, unit), Atom(1.1, unit, unit, unit))
+        linear_model([-0.1, 1.1], [UNIT, UNIT])
     with pytest.raises(ValueError, match="atom bloch must be unit vectors"):
-        lone(Atom(0.5, 2 * unit, unit, unit), Atom(0.5, unit, unit, unit))
+        linear_model([0.5, 0.5], [2 * UNIT, UNIT])
+    with pytest.raises(ValueError, match="one bloch and one preimage per weight"):
+        linear_model([0.5, 0.5], [UNIT])
+    with pytest.raises(ValueError, match="atom bloch must have shape"):
+        linear_model([], np.empty((0, 3)))
+    for etas in (None, [UNIT]):         # none, or fewer than the atoms
+        with pytest.raises(ValueError, match="linear-response atoms need alice_bloch set"):
+            FiniteLhsModel(weights=[0.5, 0.5], blochs=[UNIT, -UNIT], preimages=[UNIT, -UNIT],
+                           response=LinearResponse(), target=DiagMat3(0.0, 0.0, 1.0),
+                           visibility=1.0, etas=etas)
+
+
+@pytest.mark.parametrize("make", [vertex_model, lambda: linear_model([0.5, 0.5], [UNIT, -UNIT])])
+def test_model_arrays_are_read_only_copies(make):
+    """Editing a model's array, or the array it was built from, cannot
+    change a model that passed the checks."""
+    model = make()
+    for arr in (model.weights, model.blochs, model.preimages):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    if model.etas is not None:
+        with pytest.raises(ValueError, match="read-only"):
+            model.etas[0] = 0.0
+    source = np.array([UNIT, -UNIT])
+    lone = linear_model([0.5, 0.5], source)
+    source[0] = 2 * UNIT
+    assert np.array_equal(lone.blochs, [UNIT, -UNIT])
+    assert np.array_equal(lone.etas, [UNIT, -UNIT])
+
+
+def test_sign_mixture_drops_checked_etas():
+    """A sign mixture carries no etas: given ones are checked, then dropped."""
+    model = vertex_model()
+    kw = dict(weights=model.weights, blochs=model.blochs, preimages=model.preimages,
+              response=model.response, target=model.target, visibility=model.visibility)
+    assert FiniteLhsModel(**kw, etas=model.blochs).etas is None
+    with pytest.raises(ValueError, match="atom alice_bloch must be finite"):
+        FiniteLhsModel(**kw, etas=[[np.nan, 0.0, 1.0]])
 
 
 def test_simulated_state_matches_target_scaling():
@@ -364,9 +402,8 @@ def test_serialization_roundtrip(rng):
     clone = model_from_json(text)
     assert clone.visibility == pytest.approx(model.visibility, abs=0)
     assert clone.target.as_array() == pytest.approx(model.target.as_array(), abs=0)
-    for a, b in zip(model.atoms, clone.atoms):
-        assert b.weight == pytest.approx(a.weight, abs=0)
-        assert np.array_equal(np.round(a.bloch, 15), np.round(b.bloch, 15))
+    assert np.array_equal(clone.weights, model.weights)
+    assert np.array_equal(np.round(model.blochs, 15), np.round(clone.blochs, 15))
     state = model.simulated_state()
     report = verify_model(clone, state, random_unit_vectors(rng, 200))
     assert report.max_residual < 1e-10
@@ -383,8 +420,7 @@ def test_serialization_text_roundtrip_is_exact(idx):
 def test_serialization_roundtrip_linear():
     model = build_separable_tetrahedron_model(DiagMat3(-0.25, 0.35, -0.4))
     clone = model_from_json(model_to_json(model))
-    for a, b in zip(model.atoms, clone.atoms):
-        assert np.allclose(a.alice_bloch, b.alice_bloch, atol=0)
+    assert np.allclose(model.etas, clone.etas, atol=0)
     assert isinstance(clone.response, LinearResponse)
 
 
@@ -400,7 +436,7 @@ def test_serialization_field_order_and_precision():
 
 
 def _model_arrays(m: FiniteLhsModel) -> list:
-    return [m._weights, m._blochs, m._preimages, m._alice_blochs,
+    return [m.weights, m.blochs, m.preimages, m.etas,
             m.target.as_array(), m.visibility, getattr(m.response, "scale", 1.0)]
 
 
@@ -511,7 +547,7 @@ def test_face_maps_match_all_faces_oracle(solid, quat, seed, lam, fraction):
     x = np.vstack([random_unit_vectors(np.random.default_rng(seed), 300),
                    tie_directions(p, lam)])
     got = np.einsum("ni,nia->na", x, response_maps(model)[exit_faces(p, x)])
-    signs = vertex_signs(p.vertices, model._preimages)
+    signs = vertex_signs(p.vertices, model.preimages)
     want = model.response.scale * (all_faces_decompose(p, x) @ signs)
     assert np.abs(got - want).max() <= 1e-15
 
@@ -539,25 +575,22 @@ def _perturbed(model: FiniteLhsModel, what: str, delta: float) -> FiniteLhsModel
     0's Bloch vector turned by about ``delta`` (a sign-mixture atom's
     preimage turns with it, as the model requires), or the same model
     claiming visibility (1 - delta) t."""
-    atoms = list(model.atoms)
-    a, b = atoms[0], atoms[1]
+    q, blochs, preimages = (np.array(a) for a in (model.weights, model.blochs, model.preimages))
+    visibility = model.visibility
     if what == "q":
-        atoms[0] = Atom(a.weight - delta, a.bloch, a.preimage, a.alice_bloch)
-        atoms[1] = Atom(b.weight + delta, b.bloch, b.preimage, b.alice_bloch)
+        q[:2] += [-delta, delta]
     elif what == "lambda":
-        turn = np.cross(a.bloch, [0.6, 0.0, 0.8])
-        bloch = a.bloch + delta * turn / np.linalg.norm(turn)
-        bloch /= np.linalg.norm(bloch)
-        if a.alice_bloch is None:
-            pre = bloch / model.target.as_array()
-            atoms[0] = Atom(a.weight, bloch, pre / np.linalg.norm(pre))
-        else:
-            atoms[0] = Atom(a.weight, bloch, a.preimage, a.alice_bloch)
+        turn = np.cross(blochs[0], [0.6, 0.0, 0.8])
+        blochs[0] += delta * turn / np.linalg.norm(turn)
+        blochs[0] /= np.linalg.norm(blochs[0])
+        if model.etas is None:
+            preimages[0] = blochs[0] / model.target.as_array()
+            preimages[0] /= np.linalg.norm(preimages[0])
     else:
-        return FiniteLhsModel(atoms=model.atoms, response=model.response,
-                              target=model.target, visibility=(1 - delta) * model.visibility)
-    return FiniteLhsModel(atoms=tuple(atoms), response=model.response,
-                          target=model.target, visibility=model.visibility)
+        visibility *= 1 - delta
+    return FiniteLhsModel(weights=q, blochs=blochs, preimages=preimages,
+                          response=model.response, target=model.target,
+                          visibility=visibility, etas=model.etas)
 
 
 @pytest.mark.parametrize("what", ["q", "lambda", "t"])

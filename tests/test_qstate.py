@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from finitelhs.belldecomp import tstate_density
 from finitelhs.qstate import DiagMat3, TState, concurrence_axial, max_physical_visibility
 
 from conftest import BELL_CORNERS, as_diag, random_axial_physical_diag, random_physical_diag, random_unit_vectors
-from qstate_oracle import HalfState, Measurement, assemblage, bell_weights, is_on_separable_boundary
+from qstate_oracle import (HalfState, Measurement, assemblage, bell_weights,
+                           is_on_separable_boundary, tstate_density)
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 
@@ -137,6 +137,10 @@ def test_concurrence_axial_formula_case():
 def test_concurrence_axial_rejects_non_axial():
     with pytest.raises(ValueError):
         concurrence_axial(DiagMat3(0.6, 0.5, 0.2), 0.5)
+    # numpy scalars become plain floats, not np.float64(...) in the message
+    with pytest.raises(ValueError, match=r"requires \|dx\| == \|dy\|, got \(0\.6, 0\.5\)$"):
+        concurrence_axial(DiagMat3(*np.array([0.6, 0.5, 0.2])), 0.5)
+    assert type(DiagMat3(*np.array([0.6, 0.5, 0.2])).dx) is float
 
 
 def test_concurrence_axial_rejects_negative_visibility():

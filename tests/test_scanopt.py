@@ -74,6 +74,13 @@ def test_analytic_constants_reject_nonpositive():
         analytic_norm_constants(0.5, -0.1)
     with pytest.raises(ValueError):
         analytic_norm_constants(np.array([0.5, 0.0]), np.array([0.5, 0.5]))
+    # the message names the first bad entry, not whole arrays
+    with pytest.raises(ValueError, match=r"positive, got \(0\.0, 0\.5\)$"):
+        analytic_norm_constants(0.0, 0.5)
+    with pytest.raises(ValueError, match=r"positive, got \(0\.0, 0\.1\) at index 1$"):
+        analytic_norm_constants(np.array([0.5, 0.0, 0.0]), np.array([0.5, 0.1, 0.2]))
+    with pytest.raises(ValueError, match=r"positive, got \(0\.2, -0\.1\) at index 2$"):
+        analytic_norm_constants(0.2, np.array([0.5, 0.1, -0.1]))
 
 
 def test_constants_and_regime_are_elementwise():
