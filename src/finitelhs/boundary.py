@@ -112,4 +112,4 @@ def sample_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
 
 
 def boundary_csv(curve: BoundaryCurve) -> str:
-    return serialize.csv_text(("t0z", "t0x"), zip(curve.t0z, curve.t0x))
+    return serialize.csv_text({"t0z": curve.t0z, "t0x": curve.t0x})

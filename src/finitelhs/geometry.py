@@ -72,7 +72,7 @@ class Rotation:
         if not np.isfinite(q).all():
             raise ValueError(f"quaternion components must be finite, got {q.tolist()}")
         if abs(np.linalg.norm(q) - 1.0) > UNIT_TOL:
-            raise ValueError(f"quaternion must be unit length, |q| = {np.linalg.norm(q)!r}")
+            raise ValueError(f"quaternion must be unit length, |q| = {float(np.linalg.norm(q))!r}")
         object.__setattr__(self, "quat", q)
 
     @cached_property
@@ -177,13 +177,10 @@ def polyhedron_from_vertices(vertices, kind: str = "custom") -> Polyhedron:
     triangles of a fan from its lowest-index vertex.  Raises ValueError for
     duplicated points or when the origin is not strictly inside the hull.
     """
-    v = np.asarray(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3 or len(v) < 4:
-        raise ValueError(f"need at least 4 vertices of shape (n, 3), got {v.shape}")
-    norms = np.linalg.norm(v, axis=1)
-    if np.abs(norms - 1.0).max() > UNIT_TOL:
-        raise ValueError("all vertices must lie on the unit sphere")
+    v = as_unit_rows(vertices, "vertices")
     n = len(v)
+    if n < 4:
+        raise ValueError(f"need at least 4 vertices, got {n}")
     dots = v @ v.T
     np.fill_diagonal(dots, -1.0)
     if dots.max() >= 1.0 - HULL_TOL:
@@ -410,14 +407,3 @@ def special_vertices() -> np.ndarray:
     vertices = np.stack([_rotated(ICOSAHEDRON_VERTICES, rot) for rot in special_orientations()])
     vertices.flags.writeable = False
     return vertices
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n nearly uniform unit vectors from the golden-angle spiral."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 directions, got {n}")
-    k = np.arange(n)
-    z = 1.0 - (2.0 * k + 1.0) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    angle = np.pi * (3.0 - np.sqrt(5.0)) * k
-    return np.stack([r * np.cos(angle), r * np.sin(angle), z], axis=1)

@@ -39,7 +39,6 @@ from .geometry import (
     ICOSAHEDRON_SIGN_SUM,
     Polyhedron,
     exit_faces,
-    fibonacci_sphere,
     polyhedron_from_vertices,
     sign_sum_constant,
     tetrahedron,
@@ -50,7 +49,6 @@ from .qstate import DiagMat3, TState, as_unit_rows
 WEIGHT_TOL = 1e-12
 ATOM_MAP_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
-DEFAULT_VERIFY_DIRECTIONS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +285,7 @@ class VerificationReport:
 
 
 def verify_model(model: FiniteLhsModel, state: TState,
-                 directions: np.ndarray | None = None) -> VerificationReport:
+                 directions: np.ndarray) -> VerificationReport:
     """Compare the model's assemblage against the state's for both outcomes,
     exactly on every region of the response and on a grid of directions.
 
@@ -301,16 +299,13 @@ def verify_model(model: FiniteLhsModel, state: TState,
     Bloch residuals of every direction, up to the normalization and Bob's
     terms.
 
-    The grid residuals come from the same two products at each direction
-    of ``directions`` (default: a 1024-point Fibonacci sphere), the region
-    found by :func:`geometry.exit_faces`: the worst trace and Bloch
+    The grid residuals come from the same two products at each of the
+    n >= 1 unit rows of ``directions``, on the region found by
+    :func:`geometry.exit_faces`: the worst trace and Bloch
     deviations over both outcomes, Alice's marginal bias (mean
     |sum_i q_i f|) and Bob's reduced Bloch vector (|sum_i q_i bloch_i|).
     """
-    if directions is None:
-        x = fibonacci_sphere(DEFAULT_VERIFY_DIRECTIONS)
-    else:
-        x = as_unit_rows(directions, "verification directions")
+    x = as_unit_rows(directions, "verification directions")
     q = model.weights
     blochs = model.blochs
     # column 0 of each region is a, columns 1..3 are M

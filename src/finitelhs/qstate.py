@@ -25,7 +25,7 @@ def as_unit_vector(v, what: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
     if abs(np.linalg.norm(arr) - 1.0) > UNIT_TOL:
-        raise ValueError(f"{what} must be a unit vector, |v| = {np.linalg.norm(arr)!r}")
+        raise ValueError(f"{what} must be a unit vector, |v| = {float(np.linalg.norm(arr))!r}")
     return arr
 
 
@@ -139,7 +139,7 @@ def concurrence_axial(corr: DiagMat3, visibility: float) -> float:
             f"axial symmetry requires |dx| == |dy|, got ({corr.dx!r}, {corr.dy!r})"
         )
     if visibility < 0:
-        raise ValueError(f"visibility must be nonnegative, got {visibility!r}")
+        raise ValueError(f"visibility must be nonnegative, got {float(visibility)!r}")
     return float(axial_concurrence(abs(corr.dx), abs(corr.dz), visibility))
 
 

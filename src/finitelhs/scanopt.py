@@ -10,7 +10,9 @@ solved in r = t0x / t0z alone and put on the boundary by homogeneity.
 
 A scan solves the boundary on its t0z grid, then classifies and sizes every
 grid point in one array pass (``_axial_points``): the three S constants,
-the regime, t_max, the weight entropy and the concurrence.  The weights
+the regime, t_max, the weight entropy and the concurrence.  The result is
+one :class:`AxialScan`, a record of those columns, which the summary reads
+with array reductions and ``scan_csv`` writes column by column.  The weights
 come from ``lhsmodel.mapped_norms`` on the winning regime's vertices
 (``geometry.special_vertices``), as do the sums of the random orientation
 search.  What does not depend on the grid, those vertices and the two
@@ -104,19 +106,19 @@ def random_orientation_search(target: DiagMat3, n_rotations: int,
 
 
 @dataclass(frozen=True)
-class AxialPoint:
-    """One scan sample of the axial boundary family."""
+class AxialScan:
+    """A scan of the axial boundary family: one array per column, over the
+    t0z grid, in CSV order; ``regime`` is a list of regime names."""
 
-    t0z: float
-    t0x: float
-    s_vertex: float
-    s_face: float
-    s_edge: float
-    s_best: float
-    regime: str
-    t_max: float
-    entropy_bits: float
-    concurrence: float
+    t0z: np.ndarray
+    t0x: np.ndarray
+    s_vertex: np.ndarray
+    s_face: np.ndarray
+    s_edge: np.ndarray
+    regime: list[str]
+    t_max: np.ndarray
+    entropy_bits: np.ndarray
+    concurrence: np.ndarray
 
 
 REGIME_TIE_TOL = 1e-9
@@ -136,44 +138,38 @@ def best_regime(s_values):
     return int(idx) if idx.ndim == 0 else idx
 
 
-def _axial_points(t0z: np.ndarray, t0x: np.ndarray) -> list[AxialPoint]:
+def _axial_points(t0z: np.ndarray, t0x: np.ndarray) -> AxialScan:
     """Classify and size the model at the boundary points (t0z, t0x), all
     at once: the regime with the largest S, t_max = S * VISIBILITY_PER_S,
     the entropy of the weights |T0 v_i| / sum_j |T0 v_j| over that regime's
     vertices, and the concurrence at t_max."""
     s_values = analytic_norm_constants(t0x, t0z)
     idx = best_regime(s_values)
-    s_best = np.choose(idx, s_values)
-    t_max = s_best * VISIBILITY_PER_S
+    t_max = np.choose(idx, s_values) * VISIBILITY_PER_S
     norms, total = mapped_norms(special_vertices()[idx], np.stack([t0x, t0x, t0z], axis=1))
     q = norms / total[:, None]
-    columns = (
-        t0z, t0x, *s_values, s_best, [REGIMES[i] for i in idx], t_max,
-        -(q * np.log2(q)).sum(axis=1), axial_concurrence(t0x, t0z, t_max),
-    )
-    return [AxialPoint(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return AxialScan(t0z, t0x, *s_values, [REGIMES[i] for i in idx], t_max,
+                     -(q * np.log2(q)).sum(axis=1), axial_concurrence(t0x, t0z, t_max))
 
 
 def scan_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
-                      tol: float = SOLVER_TOL) -> list[AxialPoint]:
+                      tol: float = SOLVER_TOL) -> AxialScan:
     """Solve, classify, and size the model at n points of the boundary."""
     curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol)
     return _axial_points(curve.t0z, curve.t0x)
 
 
-def zero_entanglement_interval(points: list[AxialPoint]) -> tuple[float, float] | None:
-    """Longest contiguous t0z interval of the scan with concurrence <= 1e-12."""
-    best: tuple[float, float] | None = None
-    start = None
-    for i, p in enumerate(points):
-        if p.concurrence <= 1e-12:
-            if start is None:
-                start = i
-            if best is None or points[i].t0z - points[start].t0z > best[1] - best[0]:
-                best = (points[start].t0z, points[i].t0z)
-        else:
-            start = None
-    return best
+def zero_entanglement_interval(scan: AxialScan) -> tuple[float, float] | None:
+    """Longest contiguous t0z interval of the scan with concurrence <= 1e-12,
+    the first on a tie; None when every point is entangled."""
+    zero = np.concatenate(([False], scan.concurrence <= 1e-12, [False]))
+    # the padded mask changes at each run's first point and just past its last
+    edges = np.flatnonzero(np.diff(zero))
+    if not len(edges):
+        return None
+    first, last = edges[0::2], edges[1::2] - 1
+    run = int(np.argmax(scan.t0z[last] - scan.t0z[first]))
+    return float(scan.t0z[first[run]]), float(scan.t0z[last[run]])
 
 
 @cache
@@ -213,26 +209,19 @@ def werner_reference() -> dict:
     t0x = t0z = 1/2 (the vertex/face crossover), computed through the same
     pipeline as the scan."""
     t0 = np.array([vertex_face_crossover()])
-    point = _axial_points(t0, t0)[0]
-    return {"t": point.t_max, "entropy": point.entropy_bits,
-            "concurrence": point.concurrence}
+    scan = _axial_points(t0, t0)
+    return {"t": float(scan.t_max[0]), "entropy": float(scan.entropy_bits[0]),
+            "concurrence": float(scan.concurrence[0])}
 
 
-def scan_csv(points: list[AxialPoint]) -> str:
-    header = ("t0z", "t0x", "s_vertex", "s_face", "s_edge", "regime",
-              "t_max", "entropy_bits", "concurrence")
-    rows = [
-        (p.t0z, p.t0x, p.s_vertex, p.s_face, p.s_edge, p.regime,
-         p.t_max, p.entropy_bits, p.concurrence)
-        for p in points
-    ]
-    return serialize.csv_text(header, rows)
+def scan_csv(scan: AxialScan) -> str:
+    return serialize.csv_text(vars(scan))
 
 
-def scan_summary(points: list[AxialPoint]) -> dict:
-    interval = zero_entanglement_interval(points)
+def scan_summary(scan: AxialScan) -> dict:
+    interval = zero_entanglement_interval(scan)
     return {
-        "min_entropy_bits": min(p.entropy_bits for p in points),
+        "min_entropy_bits": float(scan.entropy_bits.min()),
         "regime_crossovers": [vertex_face_crossover(), face_edge_crossover()],
         "zero_entanglement_interval": list(interval) if interval else None,
         "werner_refs": werner_reference(),

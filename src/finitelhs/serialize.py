@@ -3,14 +3,16 @@
 The stdlib json encoder offers no control over float formatting, and the
 output files here are compared byte-for-byte across runs, so this module
 emits JSON itself: dict insertion order is preserved verbatim and every
-float is printed with a fixed number of significant digits.
+float is printed with a fixed number of significant digits.  CSV is written
+column by column, each numeric column in one pass through ``format_float``,
+which is the one definition of a number's text in either format.
 """
 
 from __future__ import annotations
 
 import json as _json
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -20,7 +22,7 @@ CSV_FLOAT_DIGITS = 15
 
 def format_float(value: float, digits: int = JSON_FLOAT_DIGITS) -> str:
     value = float(value)
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite value cannot be serialized: {value!r}")
     if value == 0.0:
         # "-0" would read back as the integer 0 and re-emit as "0"
@@ -82,12 +84,13 @@ def loads(text: str) -> Any:
     return _json.loads(text)
 
 
-def _cell(value: str | float) -> str:
-    return value if isinstance(value, str) else format_float(value, CSV_FLOAT_DIGITS)
-
-
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[str | float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def csv_text(columns: dict[str, Sequence]) -> str:
+    """CSV text of equal-length named columns, headed by their names: a
+    column of strings is written as it is, any other column through
+    ``format_float`` with CSV_FLOAT_DIGITS."""
+    cells = []
+    for col in map(np.asarray, columns.values()):
+        text = col.tolist()
+        cells.append(text if col.dtype.kind == "U" else
+                     [format_float(v, CSV_FLOAT_DIGITS) for v in text])
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells, strict=True))]) + "\n"

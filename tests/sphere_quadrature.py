@@ -1,5 +1,7 @@
 """Product-rule quadrature on the unit sphere: an oracle for the closed-form
-boundary integral, independent of Carlson's R_G."""
+boundary integral, independent of Carlson's R_G.  Also the golden-angle
+(Fibonacci) sphere, a deterministic set of nearly uniform directions for
+grid verification."""
 
 from dataclasses import dataclass
 
@@ -55,3 +57,14 @@ def quadrature_norm_integral(diag, quad: SphereQuadrature = DEFAULT_QUADRATURE) 
     """``(1/2pi) integral |diag * n| dn`` by the product rule."""
     values = np.linalg.norm(quad.nodes * np.asarray(diag, dtype=float), axis=1)
     return float(quad.weights @ values) / (2.0 * np.pi)
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n nearly uniform unit vectors from the golden-angle spiral."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 directions, got {n}")
+    k = np.arange(n)
+    z = 1.0 - (2.0 * k + 1.0) / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    angle = np.pi * (3.0 - np.sqrt(5.0)) * k
+    return np.stack([r * np.cos(angle), r * np.sin(angle), z], axis=1)

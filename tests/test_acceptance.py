@@ -157,7 +157,7 @@ def test_criterion_05_shared_randomness(scan500):
     werner_entropy = entropy_bits(
         build_polyhedron_model(WERNER, icosahedron(special_orientations()[0])))
     werner_err = abs(werner_entropy - np.log2(12.0))
-    min_entropy = min(p.entropy_bits for p in scan500)
+    min_entropy = scan500.entropy_bits.min()
     tetra_entropy = entropy_bits(
         build_separable_tetrahedron_model(DiagMat3(1 / 3, 1 / 3, 1 / 3)))
     ok = werner_err < 1e-12 and 2.90 <= min_entropy <= 3.00 and tetra_entropy == 2.0

@@ -14,6 +14,8 @@ from finitelhs.cli import main
 from finitelhs.geometry import ICOSAHEDRON_INRADIUS, ICOSAHEDRON_SIGN_SUM
 from finitelhs.lhsmodel import model_from_json, verify_model
 
+from sphere_quadrature import fibonacci_sphere
+
 WERNER_T_MAX = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 6.0
 WERNER_ARGS = ["--t0", "-0.5", "-0.5", "-0.5"]
 
@@ -53,7 +55,7 @@ def test_model_icosa_writes_model_file(capsys, tmp_path):
     assert len(doc["atoms"]) == 12
     assert doc["config"]["subcommand"] == "model icosa"
     model = model_from_json(text)
-    report = verify_model(model, model.simulated_state())
+    report = verify_model(model, model.simulated_state(), fibonacci_sphere(1024))
     assert report.max_residual < 1e-10
 
     code2, out2, _ = run(capsys, ["verify", "--model", str(path)])

@@ -15,7 +15,6 @@ from finitelhs.geometry import (
     cube,
     decompose_directions,
     exit_faces,
-    fibonacci_sphere,
     icosahedron,
     octahedron,
     polyhedron_from_vertices,
@@ -31,6 +30,7 @@ from conftest import random_unit_vectors, tie_directions
 from convex_hull_oracle import PLANE_TOL, hull_facets
 from decompose_oracle import all_faces_decompose
 from response_oracle import convex_decompose
+from sphere_quadrature import fibonacci_sphere
 
 
 def test_icosahedron_basic_shape():
@@ -264,6 +264,9 @@ def test_rotation_roundtrip(rng):
 def test_rotation_rejects_non_unit_quaternion():
     with pytest.raises(ValueError):
         Rotation(np.array([1.0, 1.0, 0.0, 0.0]))
+    # the norm prints as a plain float, not as np.float64(...)
+    with pytest.raises(ValueError, match=r"unit length, \|q\| = 2\.0$"):
+        Rotation(np.array([2.0, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -281,6 +284,8 @@ def test_rotation_to_z_cases(rng):
         assert np.allclose(rotation_to_z(u).apply(u), [0, 0, 1], atol=1e-12)
     assert np.allclose(rotation_to_z(np.array([0.0, 0.0, -1.0])).apply([0, 0, -1]),
                        [0, 0, 1], atol=1e-12)
+    with pytest.raises(ValueError, match=r"direction must be a unit vector, \|v\| = 2\.0$"):
+        rotation_to_z(np.array([0.0, 0.0, 2.0]))
 
 
 def test_special_orientations_are_pinned():
@@ -338,10 +343,16 @@ def test_tetrahedron_frame_identity(rng):
 
 
 def test_polyhedron_from_vertices_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertices must be unit vectors"):
         polyhedron_from_vertices(np.array([[0.0, 0.0, 2.0], [1, 0, 0], [0, 1, 0], [0, 0, -1]]))
-    with pytest.raises(ValueError):
-        polyhedron_from_vertices(np.eye(3))  # fewer than four vertices
+    with pytest.raises(ValueError, match="need at least 4 vertices, got 3"):
+        polyhedron_from_vertices(np.eye(3))
+    with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+        polyhedron_from_vertices(np.ones((4, 2)))
+    nan_vertex = cube().vertices.copy()
+    nan_vertex[0] = np.nan
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        polyhedron_from_vertices(nan_vertex)
     dup = np.vstack([tetrahedron().vertices, tetrahedron().vertices[:1]])
     with pytest.raises(ValueError, match="duplicated"):
         polyhedron_from_vertices(dup)

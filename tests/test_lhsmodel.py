@@ -47,6 +47,7 @@ from conftest import (
 from decompose_oracle import all_faces_decompose
 from qstate_oracle import Measurement
 from response_oracle import convex_decompose, response_probability, response_value
+from sphere_quadrature import fibonacci_sphere
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 GAMMA = 1 + np.sqrt(5)
@@ -194,7 +195,7 @@ def test_solids_verify_at_every_orientation(maker):
     rotations += [random_rotation(np.random.default_rng(seed)) for seed in range(5)]
     for rot in rotations:
         model = build_polyhedron_model(target, maker(rot))
-        report = verify_model(model, model.simulated_state())
+        report = verify_model(model, model.simulated_state(), fibonacci_sphere(1024))
         assert report.max_residual < 1e-10
 
 
@@ -564,7 +565,7 @@ def test_certificate_is_exact_on_rotated_solids(solid, quat, seed, fraction):
     cap = build_polyhedron_model(as_diag(diag), p)
     model = build_polyhedron_model(as_diag(diag), p,
                                    visibility=fraction * min(cap.visibility, 1.0))
-    report = verify_model(model, model.simulated_state())
+    report = verify_model(model, model.simulated_state(), fibonacci_sphere(1024))
     assert report.certificate_err <= 1e-15
     assert report.max_residual < 1e-14
     assert 0 <= report.worst_face < len(p.faces)

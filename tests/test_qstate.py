@@ -146,6 +146,8 @@ def test_concurrence_axial_rejects_non_axial():
 def test_concurrence_axial_rejects_negative_visibility():
     with pytest.raises(ValueError):
         concurrence_axial(WERNER, -0.1)
+    with pytest.raises(ValueError, match=r"nonnegative, got -0\.1$"):
+        concurrence_axial(WERNER, np.float64(-0.1))
 
 
 def test_concurrence_matches_bell_weight_oracle(rng):

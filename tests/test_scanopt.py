@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from finitelhs.lhsmodel import verify_model
 from finitelhs.qstate import DiagMat3, TState
 from finitelhs.scanopt import (
     REGIMES,
-    AxialPoint,
+    AxialScan,
     analytic_norm_constants,
     best_regime,
     face_edge_crossover,
@@ -34,6 +34,7 @@ from finitelhs.scanopt import (
 )
 
 from conftest import random_unit_vectors
+import scan_oracle
 from scan_oracle import axial_point, max_visibility, optimal_axial_model, special_vertices
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
@@ -145,26 +146,27 @@ def test_optimal_axial_model_regimes(t0z, expected, rng):
 
 
 def test_scan_regime_sequence(pts100):
-    regimes = [p.regime for p in pts100]
+    regimes = pts100.regime
     # vertex, then face, then edge, with no interleaving
     collapsed = [regimes[0]]
     for r in regimes[1:]:
         if r != collapsed[-1]:
             collapsed.append(r)
     assert collapsed == list(REGIMES)
-    assert max(p.t0z for p in pts100 if p.regime == "vertex") < 0.5
-    assert min(p.t0z for p in pts100 if p.regime == "edge") > 0.88
+    regime = np.array(regimes)
+    assert pts100.t0z[regime == "vertex"].max() < 0.5
+    assert pts100.t0z[regime == "edge"].min() > 0.88
 
 
 def test_scan_point_internal_consistency(pts100):
-    for p in pts100:
-        s_values = (p.s_vertex, p.s_face, p.s_edge)
-        assert p.regime == REGIMES[best_regime(s_values)]
-        assert p.s_best == s_values[REGIMES.index(p.regime)]
-        assert p.s_best >= max(s_values) - 1e-9
-        assert p.t_max == pytest.approx(p.s_best * VISIBILITY_PER_S, abs=1e-15)
-        assert 0.0 < p.t_max < 1.0
-        assert p.concurrence >= 0.0
+    s_values = np.stack([pts100.s_vertex, pts100.s_face, pts100.s_edge])
+    idx = best_regime(s_values)
+    assert pts100.regime == [REGIMES[i] for i in idx]
+    s_best = np.choose(idx, s_values)
+    assert (s_best >= s_values.max(axis=0) - 1e-9).all()
+    assert pts100.t_max == pytest.approx(s_best * VISIBILITY_PER_S, abs=1e-15)
+    assert ((0.0 < pts100.t_max) & (pts100.t_max < 1.0)).all()
+    assert (pts100.concurrence >= 0.0).all()
 
 
 def test_best_regime_tie_break():
@@ -178,16 +180,15 @@ def test_best_regime_tie_break():
 
 
 def test_scan_werner_grid_point(pts50):
-    p = pts50[24]
-    assert p.t0z == 0.5
-    assert p.t0x == pytest.approx(0.5, abs=1e-9)
-    assert p.t_max == pytest.approx(WERNER_T_MAX, abs=1e-9)
-    assert p.entropy_bits == pytest.approx(np.log2(12.0), abs=1e-12)
-    assert p.concurrence == pytest.approx(0.1428889727400946, abs=1e-12)
+    assert pts50.t0z[24] == 0.5
+    assert pts50.t0x[24] == pytest.approx(0.5, abs=1e-9)
+    assert pts50.t_max[24] == pytest.approx(WERNER_T_MAX, abs=1e-9)
+    assert pts50.entropy_bits[24] == pytest.approx(np.log2(12.0), abs=1e-12)
+    assert pts50.concurrence[24] == pytest.approx(0.1428889727400946, abs=1e-12)
 
 
 def test_scan_entropy_peaks_at_isotropic_point(pts50):
-    entropies = np.array([p.entropy_bits for p in pts50])
+    entropies = pts50.entropy_bits
     assert entropies.max() == pytest.approx(np.log2(12.0), abs=1e-12)
     assert int(np.argmax(entropies)) == 24
     assert entropies.min() == pytest.approx(2.959433895314834, abs=1e-6)
@@ -199,21 +200,26 @@ def test_scan_entropy_peaks_at_isotropic_point(pts50):
 @example(50, 0.02, 1e-12)
 @example(2, 0.5, 1e-12)         # t0z = 0.5 and t0z = 1 only
 def test_scan_matches_the_pointwise_oracle(n, t0z_min, tol):
-    """Every field of every point, bit for bit and of the same type, as
-    the scalar oracle computes it at the solved boundary points."""
+    """Every column at every point, bit for bit and of the same type, as
+    the scalar oracle computes the rows at the solved boundary points."""
     curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol)
     rotated = special_vertices()
     expected = [axial_point(z, x, rotated) for z, x in zip(curve.t0z, curve.t0x)]
-    points = scan_axial_family(n, t0z_min=t0z_min, tol=tol)
-    assert [[(type(v), v) for v in astuple(p)] for p in points] == \
-        [[(type(v), v) for v in astuple(p)] for p in expected]
+    scan = scan_axial_family(n, t0z_min=t0z_min, tol=tol)
+
+    def bits(values):
+        return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+    assert [f.name for f in fields(AxialScan)] == scan_csv(scan).split("\n")[0].split(",")
+    for i, f in enumerate(fields(AxialScan)):
+        assert bits(np.asarray(getattr(scan, f.name)).tolist()) == bits(row[i] for row in expected)
 
 
 def test_werner_reference_matches_the_pointwise_oracle():
-    p = axial_point(0.5, 0.5, special_vertices())
-    assert p.regime == "vertex" and p.s_vertex == p.s_face == p.s_edge
-    assert werner_reference() == {"t": p.t_max, "entropy": p.entropy_bits,
-                                  "concurrence": p.concurrence}
+    _, _, s_vertex, s_face, s_edge, regime, t_max, entropy, concurrence = \
+        axial_point(0.5, 0.5, special_vertices())
+    assert regime == "vertex" and s_vertex == s_face == s_edge
+    assert werner_reference() == {"t": t_max, "entropy": entropy, "concurrence": concurrence}
 
 
 def test_second_scan_reuses_the_constant_geometry(monkeypatch):
@@ -267,17 +273,39 @@ def test_zero_entanglement_interval(pts100, pts50):
     assert zero_entanglement_interval(pts50) == (1.0, 1.0)
 
 
-def test_zero_entanglement_interval_none_when_all_entangled():
-    def point(t0z, conc):
-        return AxialPoint(t0z=t0z, t0x=0.5, s_vertex=2.0, s_face=2.0,
-                          s_edge=2.0, s_best=2.0, regime="vertex",
-                          t_max=0.85, entropy_bits=3.0, concurrence=conc)
+def scan_of(t0z, concurrence) -> AxialScan:
+    """A scan with the given t0z and concurrence columns; the columns the
+    interval does not read are filled with constants."""
+    fill = np.full(len(t0z), 0.5)
+    return AxialScan(np.asarray(t0z, dtype=float), fill, fill, fill, fill,
+                     ["vertex"] * len(t0z), fill, fill, np.asarray(concurrence, dtype=float))
 
-    assert zero_entanglement_interval([point(0.1, 0.2), point(0.2, 0.1)]) is None
+
+def test_zero_entanglement_interval_none_when_all_entangled():
+    assert zero_entanglement_interval(scan_of([0.1, 0.2], [0.2, 0.1])) is None
     # picks the longest run, not the first
-    pts = [point(0.1, 0.0), point(0.2, 0.5), point(0.3, 0.0),
-           point(0.4, 0.0), point(0.5, 0.0)]
-    assert zero_entanglement_interval(pts) == (0.3, 0.5)
+    scan = scan_of([0.1, 0.2, 0.3, 0.4, 0.5], [0.0, 0.5, 0.0, 0.0, 0.0])
+    assert zero_entanglement_interval(scan) == (0.3, 0.5)
+
+
+CONCURRENCES = st.sampled_from([0.0, 5e-13, 1e-12, 1.0000000000000002e-12, 0.1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CONCURRENCES, min_size=1, max_size=40), st.booleans())
+@example([0.0] * 7, True)                       # all zero
+@example([0.1] * 7, False)                      # none zero
+@example([0.0, 0.0, 0.1, 0.0, 0.0, 0.1, 0.0, 0.0], True)    # runs of equal length
+@example([0.1, 0.0, 0.0, 0.1, 1e-12, 5e-13, 0.1], False)
+def test_zero_entanglement_interval_matches_the_loop_oracle(concurrence, dyadic):
+    """The array version returns what walking the points returns: the
+    longest run by t0z extent, the first on a tie (dyadic grids make equal
+    runs tie exactly), or None."""
+    n = len(concurrence)
+    t0z = np.arange(1, n + 1) / 64.0 if dyadic else np.linspace(0.02, 1.0, n)
+    got = zero_entanglement_interval(scan_of(t0z, concurrence))
+    assert got == scan_oracle.zero_entanglement_interval(t0z, concurrence)
+    assert got is None or all(type(v) is float for v in got)
 
 
 def test_vertex_face_crossover_is_the_isotropic_point():
@@ -328,7 +356,7 @@ def test_werner_reference_is_the_closed_form():
 
 
 def test_scan_csv_format(pts50):
-    text = scan_csv(pts50[:3])
+    text = scan_csv(AxialScan(**{name: col[:3] for name, col in vars(pts50).items()}))
     lines = text.strip().split("\n")
     assert lines[0] == "t0z,t0x,s_vertex,s_face,s_edge,regime,t_max,entropy_bits,concurrence"
     assert len(lines) == 4
