@@ -3,6 +3,13 @@
 The canonical icosahedron is one read-only vertex array; the special
 orientations and their rotated vertex sets are read from it without
 building a hull.
+
+``exit_faces`` finds the face cone of a direction from the argmax of
+x.n/d alone, on a face frame it checks once per polyhedron.  Only rows on
+a split facet get barycentric coordinates, and ``_exit_candidates``, which
+compares every candidate exit face of a row, runs only for rows on a facet
+of three or more pieces or on an edge or vertex of a split facet, and for
+every row of ``decompose_directions``.
 """
 
 from __future__ import annotations
@@ -122,7 +129,9 @@ class Polyhedron:
     """A convex polyhedron with unit vertices and triangulated faces.
 
     ``faces`` holds vertex-index triples; ``inradius`` is the distance from
-    the origin to the nearest face plane.
+    the origin to the nearest face plane.  The face frame is not checked
+    when the polyhedron is made: ``exit_faces`` checks it on first use
+    (``_partners``), once per polyhedron.
     """
 
     vertices: np.ndarray
@@ -142,6 +151,45 @@ class Polyhedron:
         d = np.einsum("fi,fi->f", n, a)
         inv = np.linalg.inv(corners.transpose(0, 2, 1))  # columns are the corners
         return n, d, inv
+
+    @cached_property
+    def _partners(self) -> np.ndarray:
+        """The coplanar partner of each face (F,): the face itself for a
+        triangle, the other piece for a facet split in two, -1 for a facet
+        of three or more pieces.
+
+        Checks the face frame first: the faces must close into one
+        oriented surface (every directed edge once, and its reverse once),
+        every plane must pass strictly outside the origin, and every vertex
+        must lie within HULL_TOL behind every plane.  On such a frame the
+        ray along x leaves through the face whose plane it meets first.
+        Raises RuntimeError otherwise.
+        """
+        n = len(self.vertices)
+        normals, offsets, _ = self._face_frames
+        edges = self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        forward = np.sort(edges[:, 0] * n + edges[:, 1])
+        if (np.diff(forward) == 0).any() or not np.array_equal(
+                forward, np.sort(edges[:, 1] * n + edges[:, 0])):
+            raise RuntimeError("ray-face intersection failed: the faces do not close "
+                               "into one oriented surface")
+        if not offsets.min() > HULL_TOL:
+            raise RuntimeError(f"ray-face intersection failed: a face plane passes "
+                               f"{offsets.min():.3e} from the origin")
+        height = self.vertices @ normals.T - offsets  # (n, F)
+        if height.max() > HULL_TOL:
+            vertex, face = np.unravel_index(np.argmax(height), height.shape)
+            raise RuntimeError(f"ray-face intersection failed: vertex {vertex} lies "
+                               f"{height.max():.3e} beyond the plane of face {face}")
+        # coplanar[f, g]: the corners of face g lie on the plane of face f
+        coplanar = (np.abs(height[self.faces]) <= HULL_TOL).all(axis=1).T
+        count = coplanar.sum(axis=1)
+        partner = np.where(count == 1, np.arange(len(count)), -1)
+        pair = np.flatnonzero(count == 2)
+        coplanar[pair, pair] = False
+        partner[pair] = np.argmax(coplanar[pair], axis=1)
+        partner.setflags(write=False)
+        return partner
 
     @cached_property
     def is_inversion_symmetric(self) -> bool:
@@ -366,23 +414,42 @@ def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     """The face whose cone contains each unit direction in the rows of
     ``x`` (already checked by ``as_unit_rows``), on any convex solid.
 
-    The face plane the ray along x meets first maximizes x.n/d over the
-    faces.  Coplanar pieces of a split facet tie on that score, and the
-    argmax then names the same piece wherever x lies in the facet, so the
-    barycentric coordinates on the argmax piece are checked: rows where
-    one is below -1e-12 take the containing piece from
-    ``_exit_candidates``.  On an edge or vertex the faces that meet there
-    agree to rounding, so any of them will do.
+    The face frame is checked on first use (``Polyhedron._partners``);
+    a bad one raises RuntimeError.  On a closed convex frame the face
+    plane the ray along x meets first, the one maximizing x.n/d, holds
+    the exit point, so a triangular facet needs no further test.  The
+    coplanar pieces of a split facet tie on that score, and the argmax
+    then names the same piece wherever x lies in the facet, so only rows
+    on a split piece get barycentric coordinates.  A row where one is
+    below -1e-12 takes the piece's partner when all of the partner's
+    exceed 1e-12.  The rest, on a facet of three or more pieces or on an
+    edge or vertex of the partner, take the piece ``_exit_candidates``
+    picks.  On an edge or vertex the faces that meet there agree to
+    rounding, so any of them would do.
     """
+    partner = p._partners
     normals, offsets, inv = p._face_frames
     hit = np.argmax(x @ (normals / offsets[:, None]).T, axis=1)
-    # coordinates divided by s: they sum to 1/s, the exit point being on the plane
-    bary = np.einsum("nij,nj->ni", inv[hit], x)
-    low = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
-    outside = np.flatnonzero(low < -1e-12 * (bary[:, 0] + bary[:, 1] + bary[:, 2]))
-    if len(outside):
-        hit[outside] = _exit_candidates(p, x[outside])[0]
+    rows = np.flatnonzero(partner[hit] != hit)
+    if len(rows):
+        rows = rows[_below(inv, hit[rows], x[rows], -1e-12)]
+        other = partner[hit[rows]]
+        inside = other >= 0
+        inside[inside] = ~_below(inv, other[inside], x[rows[inside]], 1e-12)
+        hit[rows[inside]] = other[inside]
+        if not inside.all():
+            hit[rows[~inside]] = _exit_candidates(p, x[rows[~inside]])[0]
     return hit
+
+
+def _below(inv: np.ndarray, faces: np.ndarray, x: np.ndarray, bound: float) -> np.ndarray:
+    """Whether the ray along each row of ``x`` meets the plane of its face
+    in ``faces`` at a point whose lowest barycentric coordinate is below
+    ``bound`` (the coordinates summing to 1)."""
+    # coordinates divided by s: they sum to 1/s, the exit point being on the plane
+    bary = np.einsum("nij,nj->ni", inv[faces], x)
+    low = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
+    return low < bound * (bary[:, 0] + bary[:, 1] + bary[:, 2])
 
 
 def special_orientations() -> tuple[Rotation, Rotation, Rotation]:

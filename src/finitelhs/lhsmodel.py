@@ -160,7 +160,8 @@ def mapped_norms(vertices: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np
     The model on these vertices has weights |T0 v_i| / sum and maximum
     visibility c * inradius / sum (c from :func:`sign_sum_constant`).
     """
-    norms = np.linalg.norm(vertices * diag[..., None, :], axis=-1)
+    m = vertices * diag[..., None, :]
+    norms = np.sqrt(m[..., 0] * m[..., 0] + m[..., 1] * m[..., 1] + m[..., 2] * m[..., 2])
     return norms, norms.sum(axis=-1)
 
 
@@ -240,9 +241,9 @@ def response_maps(model: FiniteLhsModel) -> np.ndarray:
     return model.etas.T[None]
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (n, 3) array, column by column."""
-    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of a (3, n) array, row by row."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 RESIDUALS = ("max_trace_err", "max_bloch_err", "alice_marginal_err",
@@ -304,6 +305,9 @@ def verify_model(model: FiniteLhsModel, state: TState,
     :func:`geometry.exit_faces`: the worst trace and Bloch
     deviations over both outcomes, Alice's marginal bias (mean
     |sum_i q_i f|) and Bob's reduced Bloch vector (|sum_i q_i bloch_i|).
+    The products are kept as four contiguous rows over the directions.
+    A sign mixture whose polyhedron has a bad face frame raises
+    RuntimeError from ``exit_faces``.
     """
     x = as_unit_rows(directions, "verification directions")
     q = model.weights
@@ -320,11 +324,13 @@ def verify_model(model: FiniteLhsModel, state: TState,
     else:
         products = x @ coeffs[0]
         worst_face = None
-    bias = products[:, 0]                          # sum_i q_i f(x, i)
-    gap = products[:, 1:] - corr * x               # sum_i q_i f bloch_i - T x
+    products = products.T.copy()                   # (4, n): x . a, then x M
+    bias = products[0]                             # sum_i q_i f(x, i)
+    gap = products[1:] - corr[:, None] * x.T       # sum_i q_i f bloch_i - T x
     bob = q @ blochs
     # outcome o = +-1: trace (sum q + o bias) / 2, Bloch deviation (bob + o gap) / 2
-    max_bloch = 0.5 * np.maximum(_row_norms(bob + gap), _row_norms(bob - gap)).max()
+    max_bloch = 0.5 * np.maximum(_column_norms(bob[:, None] + gap),
+                                 _column_norms(bob[:, None] - gap)).max()
     return VerificationReport(
         max_trace_err=float(0.5 * (abs(q.sum() - 1.0) + np.abs(bias).max())),
         max_bloch_err=float(max_bloch),

@@ -15,8 +15,9 @@ one :class:`AxialScan`, a record of those columns, which the summary reads
 with array reductions and ``scan_csv`` writes column by column.  The weights
 come from ``lhsmodel.mapped_norms`` on the winning regime's vertices
 (``geometry.special_vertices``), as do the sums of the random orientation
-search.  What does not depend on the grid, those vertices and the two
-crossovers, is computed on first use and kept for the life of the process.
+search.  What does not depend on the grid, those vertices, the two
+crossovers and the Werner reference, is computed on first use and kept for
+the life of the process.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def random_orientation_search(target: DiagMat3, n_rotations: int,
     rng = np.random.default_rng(seed)
     quats = rng.standard_normal((n_rotations, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    rotated = np.einsum("nij,vj->nvi", quaternion_matrices(quats), ICOSAHEDRON_VERTICES)
+    # R v for every matrix and vertex, (n, V, 3), summed over j by broadcasting
+    m, v = quaternion_matrices(quats)[:, None], ICOSAHEDRON_VERTICES[:, None]
+    rotated = m[..., 0] * v[..., 0] + m[..., 1] * v[..., 1] + m[..., 2] * v[..., 2]
     _, sums = mapped_norms(rotated, target.as_array())
     best = int(np.argmin(sums))
     visibility = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / float(sums[best])
@@ -204,14 +207,18 @@ def face_edge_crossover() -> float:
     return float(1.0 / norm_integral(np.sqrt(x), 1.0))
 
 
+@cache
+def _werner_values() -> tuple[float, float, float]:
+    t0 = np.array([vertex_face_crossover()])
+    scan = _axial_points(t0, t0)
+    return float(scan.t_max[0]), float(scan.entropy_bits[0]), float(scan.concurrence[0])
+
+
 def werner_reference() -> dict:
     """Visibility, entropy, and concurrence at the isotropic boundary point
     t0x = t0z = 1/2 (the vertex/face crossover), computed through the same
-    pipeline as the scan."""
-    t0 = np.array([vertex_face_crossover()])
-    scan = _axial_points(t0, t0)
-    return {"t": float(scan.t_max[0]), "entropy": float(scan.entropy_bits[0]),
-            "concurrence": float(scan.concurrence[0])}
+    pipeline as the scan, once per process; each call returns a new dict."""
+    return dict(zip(("t", "entropy", "concurrence"), _werner_values()))
 
 
 def scan_csv(scan: AxialScan) -> str:

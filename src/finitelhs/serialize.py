@@ -4,8 +4,9 @@ The stdlib json encoder offers no control over float formatting, and the
 output files here are compared byte-for-byte across runs, so this module
 emits JSON itself: dict insertion order is preserved verbatim and every
 float is printed with a fixed number of significant digits.  CSV is written
-column by column, each numeric column in one pass through ``format_float``,
-which is the one definition of a number's text in either format.
+column by column, each numeric column in one pass after one finiteness
+check, through the same ``_float_text`` that ``format_float`` uses: a
+number's text has one definition in either format.
 """
 
 from __future__ import annotations
@@ -20,14 +21,22 @@ JSON_FLOAT_DIGITS = 17
 CSV_FLOAT_DIGITS = 15
 
 
+def _float_text(value: float, spec: str) -> str:
+    """A finite number's text: ``spec`` ('%.{digits}g'), and "0" for either
+    zero ("-0" would read back as the integer 0 and re-emit as "0").  The
+    one definition of a number's text in JSON and CSV alike."""
+    return spec % value if value else "0"
+
+
+def _non_finite(value: float) -> ValueError:
+    return ValueError(f"non-finite value cannot be serialized: {value!r}")
+
+
 def format_float(value: float, digits: int = JSON_FLOAT_DIGITS) -> str:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite value cannot be serialized: {value!r}")
-    if value == 0.0:
-        # "-0" would read back as the integer 0 and re-emit as "0"
-        return "0"
-    return format(value, f".{digits}g")
+        raise _non_finite(value)
+    return _float_text(value, f"%.{digits}g")
 
 
 def _emit(obj: Any, level: int, out: list[str]) -> None:
@@ -86,11 +95,15 @@ def loads(text: str) -> Any:
 
 def csv_text(columns: dict[str, Sequence]) -> str:
     """CSV text of equal-length named columns, headed by their names: a
-    column of strings is written as it is, any other column through
-    ``format_float`` with CSV_FLOAT_DIGITS."""
-    cells = []
+    column of strings is written as it is, any other column in one pass
+    with CSV_FLOAT_DIGITS, after one finiteness check."""
+    cells, spec = [], f"%.{CSV_FLOAT_DIGITS}g"
     for col in map(np.asarray, columns.values()):
-        text = col.tolist()
-        cells.append(text if col.dtype.kind == "U" else
-                     [format_float(v, CSV_FLOAT_DIGITS) for v in text])
+        if col.dtype.kind == "U":
+            cells.append(col.tolist())
+            continue
+        finite = np.isfinite(col)
+        if not finite.all():
+            raise _non_finite(col[~finite][0].item())
+        cells.append([_float_text(v, spec) for v in col.tolist()])
     return "\n".join([",".join(columns), *map(",".join, zip(*cells, strict=True))]) + "\n"

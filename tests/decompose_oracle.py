@@ -1,11 +1,27 @@
-"""Barycentric coordinates of every direction on every face: an oracle for
-``geometry.decompose_directions``, which computes them only for the
-candidate exit faces of each direction."""
+"""Lookups done the long way, as oracles for the package's fast paths.
+
+``all_faces_decompose`` computes barycentric coordinates of every direction
+on every face, for ``geometry.decompose_directions``, which computes them
+only for the candidate exit faces of each direction.
+``checked_exit_faces`` checks the argmax face of every direction, for
+``geometry.exit_faces``, which checks only the rows on split facets.
+``einsum_mapped_norms`` and ``einsum_orientation_search`` rotate with
+``einsum`` and take norms with ``np.linalg.norm``, for
+``lhsmodel.mapped_norms`` and ``scanopt.random_orientation_search``.
+"""
 
 import numpy as np
 
-from finitelhs.geometry import Polyhedron
-from finitelhs.qstate import UNIT_TOL
+from finitelhs.geometry import (
+    ICOSAHEDRON_INRADIUS,
+    ICOSAHEDRON_SIGN_SUM,
+    ICOSAHEDRON_VERTICES,
+    Polyhedron,
+    Rotation,
+    _exit_candidates,
+    quaternion_matrices,
+)
+from finitelhs.qstate import UNIT_TOL, DiagMat3
 
 
 def all_faces_decompose(p: Polyhedron, directions) -> np.ndarray:
@@ -48,3 +64,42 @@ def all_faces_decompose(p: Polyhedron, directions) -> np.ndarray:
     np.add.at(weights, (np.arange(n_dirs)[:, None], p.faces[hit]),
               face_part[:, None] * bary)
     return weights
+
+
+def checked_exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
+    """The face whose cone contains each unit direction in the rows of
+    ``x``: an oracle for ``geometry.exit_faces``, which checks the face
+    frame once and needs barycentric coordinates only on split facets.
+
+    Takes the argmax of x.n/d over the faces and checks the barycentric
+    coordinates on that face for every row; rows where one is below
+    -1e-12 take the containing piece from ``_exit_candidates``.
+    """
+    normals, offsets, inv = p._face_frames
+    hit = np.argmax(x @ (normals / offsets[:, None]).T, axis=1)
+    # coordinates divided by s: they sum to 1/s, the exit point being on the plane
+    bary = np.einsum("nij,nj->ni", inv[hit], x)
+    low = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
+    outside = np.flatnonzero(low < -1e-12 * (bary[:, 0] + bary[:, 1] + bary[:, 2]))
+    if len(outside):
+        hit[outside] = _exit_candidates(p, x[outside])[0]
+    return hit
+
+
+def einsum_mapped_norms(vertices: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|T0 v_i| over the last axis through ``np.linalg.norm``, and their sum."""
+    norms = np.linalg.norm(vertices * diag[..., None, :], axis=-1)
+    return norms, norms.sum(axis=-1)
+
+
+def einsum_orientation_search(target: DiagMat3, n_rotations: int,
+                              seed: int = 0) -> tuple[float, Rotation]:
+    """The random orientation search with the vertices rotated by ``einsum``."""
+    rng = np.random.default_rng(seed)
+    quats = rng.standard_normal((n_rotations, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    rotated = np.einsum("nij,vj->nvi", quaternion_matrices(quats), ICOSAHEDRON_VERTICES)
+    _, sums = einsum_mapped_norms(rotated, target.as_array())
+    best = int(np.argmin(sums))
+    visibility = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / float(sums[best])
+    return visibility, Rotation(quats[best])

@@ -6,9 +6,12 @@ from the scalar forms of the package's closed forms; ``max_visibility``
 rotates a fresh icosahedron and sums the norms it needs directly;
 ``optimal_axial_model`` builds the full model at the winning orientation.
 ``zero_entanglement_interval`` walks the scan point by point, and
-``csv_text`` writes CSV row by row, cell by cell: oracles for the array
-versions in ``scanopt`` and ``serialize``.
+``csv_text`` writes CSV row by row, cell by cell, each number through
+``format(value, '.15g')``: oracles for the array versions in ``scanopt``
+and ``serialize``.
 """
+
+import math
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from finitelhs.scanopt import (
     analytic_norm_constants,
     best_regime,
 )
-from finitelhs.serialize import CSV_FLOAT_DIGITS, format_float
+from finitelhs.serialize import CSV_FLOAT_DIGITS
 
 
 def max_visibility(target: DiagMat3, orientation: Rotation) -> float:
@@ -73,13 +76,24 @@ def zero_entanglement_interval(t0z, concurrence) -> tuple[float, float] | None:
     return best
 
 
+def cell_text(value, digits: int) -> str:
+    """One number's text, cell by cell: ``format(value, '.{digits}g')``,
+    "0" for either zero; a non-finite value raises ValueError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value cannot be serialized: {value!r}")
+    if value == 0.0:
+        return "0"
+    return format(value, f".{digits}g")
+
+
 def csv_text(header, rows) -> str:
     """CSV text written row by row: a string cell as it is, any other cell
-    through ``format_float`` with CSV_FLOAT_DIGITS."""
+    through ``cell_text`` with CSV_FLOAT_DIGITS."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
-            v if isinstance(v, str) else format_float(v, CSV_FLOAT_DIGITS) for v in row))
+            v if isinstance(v, str) else cell_text(v, CSV_FLOAT_DIGITS) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import QhullError
 
+from finitelhs import geometry
 from finitelhs.geometry import (
     GOLDEN_RATIO,
     ICOSAHEDRON_INRADIUS,
@@ -25,10 +27,12 @@ from finitelhs.geometry import (
     special_orientations,
     tetrahedron,
 )
+from finitelhs.lhsmodel import SignMixture, build_polyhedron_model, verify_model
+from finitelhs.qstate import DiagMat3
 
 from conftest import random_unit_vectors, tie_directions
 from convex_hull_oracle import PLANE_TOL, hull_facets
-from decompose_oracle import all_faces_decompose
+from decompose_oracle import all_faces_decompose, checked_exit_faces
 from response_oracle import convex_decompose
 from sphere_quadrature import fibonacci_sphere
 
@@ -227,6 +231,131 @@ def test_decompose_rejects_a_corrupted_face_frame():
     for decompose in (decompose_directions, all_faces_decompose, exit_faces):
         with pytest.raises(RuntimeError, match="ray-face intersection failed"):
             decompose(holed, x)
+
+
+def hexagonal_prism(orientation: Rotation | None = None) -> Polyhedron:
+    """A prism on a regular hexagon, inscribed in the unit sphere: each
+    hexagon is one facet of four coplanar pieces, each side one of two."""
+    angle = np.arange(6) * np.pi / 3
+    ring = np.sqrt(0.75) * np.column_stack([np.cos(angle), np.sin(angle), np.zeros(6)])
+    v = np.vstack([ring + [0.0, 0.0, 0.5], ring - [0.0, 0.0, 0.5]])
+    return polyhedron_from_vertices(v if orientation is None else orientation.apply(v))
+
+
+def test_partners_pair_the_pieces_of_each_facet(rng):
+    """A triangle is its own partner, the two pieces of a square name each
+    other, and the four pieces of a hexagon get -1."""
+    for p in (icosahedron(random_rotation(rng)), octahedron(), tetrahedron()):
+        assert np.array_equal(p._partners, np.arange(len(p.faces)))
+    for p in (cube(), cube(random_rotation(rng))):
+        partner = p._partners
+        assert np.all(partner != np.arange(12)) and np.array_equal(partner[partner], np.arange(12))
+        normals = p._face_frames[0]
+        assert np.abs(normals[partner] - normals).max() <= 1e-12
+    prism = hexagonal_prism()
+    hexagon = np.abs(prism._face_frames[0][:, 2]) > 0.5
+    assert hexagon.sum() == 8 and np.all(prism._partners[hexagon] == -1)
+    side = prism._partners[~hexagon]
+    assert np.all(side >= 0) and np.array_equal(prism._partners[side], np.flatnonzero(~hexagon))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron, hexagonal_prism]),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0))
+@example(cube, (1.0, 0.0, 0.0, 0.0), 0, 0.5)
+@example(hexagonal_prism, (1.0, 0.0, 0.0, 0.0), 0, 0.5)
+def test_exit_faces_match_the_checked_oracle(solid, quat, seed, lam):
+    """Bit for bit the faces of the oracle that checks the argmax face of
+    every row, on random directions and on directions that tie between
+    faces: vertices, edge points and the diagonals of split facets."""
+    assume(np.linalg.norm(quat) > 0.1)
+    p = solid(Rotation.from_quat(quat))
+    x = np.vstack([random_unit_vectors(np.random.default_rng(seed), 300), tie_directions(p, lam)])
+    assert np.array_equal(exit_faces(p, x), checked_exit_faces(p, x))
+
+
+def test_exit_faces_check_coordinates_on_split_facets_only(monkeypatch, rng):
+    """No barycentric coordinates on an icosahedron or octahedron; on a
+    cube only the random rows that miss their argmax piece take a second
+    look, and none reaches _exit_candidates."""
+    checked = []
+
+    def below(inv, faces, x, bound):
+        checked.append(len(x))
+        return below.original(inv, faces, x, bound)
+
+    below.original = geometry._below
+    monkeypatch.setattr(geometry, "_below", below)
+    monkeypatch.setattr(geometry, "_exit_candidates", None)
+    x = random_unit_vectors(rng, 2000)
+    for solid in (icosahedron, octahedron):
+        exit_faces(solid(random_rotation(rng)), x)
+    assert checked == []
+    exit_faces(cube(random_rotation(rng)), x)
+    assert checked[0] == 2000 and 0 < checked[1] < 2000
+
+
+CUBE_CORNER = np.array([[0, 2, 1], [0, 4, 2], [0, 1, 4], [1, 2, 4]])
+
+
+def corrupted(case: str) -> tuple[Polyhedron, Polyhedron]:
+    """A solid, and a copy of it with a corrupted face frame over a vertex
+    set that is still inversion symmetric."""
+    ico = icosahedron()
+    faces, vertices = ico.faces.copy(), ico.vertices.copy()
+    if case == "duplicated face":
+        faces[0] = faces[1]
+    elif case == "reversed face":
+        faces[0] = faces[0, [0, 2, 1]]
+    elif case == "missing face":
+        faces = faces[1:]
+    elif case == "extra two-sided face":
+        # face 0 once more each way round: every edge still meets its reverse
+        faces = np.vstack([faces, faces[0], faces[0, [0, 2, 1]]])
+    elif case == "vertex outside a face plane":
+        # vertex 0 and its antipode 9 pulled in: each cap caves in, and a
+        # neighbour of the caved vertex lies beyond a caved face's plane
+        vertices[[0, 9]] *= 0.4
+    else:
+        # the corner tetrahedron of the cube at vertex 0: its far face
+        # (1, 2, 4) has the origin in front of it
+        return cube(), Polyhedron(cube().vertices, CUBE_CORNER, 0.0, case)
+    return ico, Polyhedron(vertices, faces, ico.inradius, case)
+
+
+@pytest.mark.parametrize("case,reason", [
+    ("duplicated face", "do not close"),
+    ("reversed face", "do not close"),
+    ("missing face", "do not close"),
+    ("extra two-sided face", "do not close"),
+    ("vertex outside a face plane", "beyond the plane"),
+    ("origin outside", "vertex 0 lies .* beyond the plane of face 3"),
+])
+def test_corrupted_frames_fail_at_first_use(case, reason, rng):
+    """exit_faces checks the frame before it reads a row, so every row
+    fails, even ones the argmax alone would place; verify_model on a model
+    whose response reads the frame fails the same way."""
+    good, bad = corrupted(case)
+    x = good.vertices[good.faces[-1]].sum(axis=0)
+    with pytest.raises(RuntimeError, match="ray-face intersection failed: .*" + reason):
+        exit_faces(bad, (x / np.linalg.norm(x))[None, :])
+    model = build_polyhedron_model(DiagMat3(-0.6, -0.5, -0.4), good)
+    model = replace(model, response=SignMixture(bad, model.response.scale))
+    with pytest.raises(RuntimeError, match="ray-face intersection failed"):
+        verify_model(model, model.simulated_state(), random_unit_vectors(rng, 10))
+
+
+def test_frame_with_a_plane_through_the_origin_fails():
+    """A tetrahedron moved until the plane of face 0 passes 1e-12 from the
+    origin: every vertex is behind every plane, but that offset is within
+    HULL_TOL of zero."""
+    tet = tetrahedron()
+    normals, offsets, _ = tet._face_frames
+    moved = Polyhedron(tet.vertices - (offsets[0] - 1e-12) * normals[0], tet.faces, 1e-12, "moved")
+    with pytest.raises(RuntimeError, match="ray-face intersection failed: a face plane passes"):
+        exit_faces(moved, -normals[:1])
 
 
 def test_random_rotation_reproducible_and_orthogonal():

@@ -44,7 +44,7 @@ from conftest import (
     random_unit_vectors,
     tie_directions,
 )
-from decompose_oracle import all_faces_decompose
+from decompose_oracle import all_faces_decompose, einsum_mapped_norms
 from qstate_oracle import Measurement
 from response_oracle import convex_decompose, response_probability, response_value
 from sphere_quadrature import fibonacci_sphere
@@ -156,6 +156,26 @@ def test_batched_visibility_matches_the_builder(quats, seed):
         model = build_polyhedron_model(as_diag(d), p)
         assert np.array_equal(n / t, model.weights)
         assert vis == model.visibility
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron]),
+       st.sampled_from([(), (1,), (4,), (2, 3)]),
+       st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_mapped_norms_match_the_norm_oracle(solid, batch, shared, seed):
+    """Bit for bit the norms and sums that np.linalg.norm gives, over
+    batches of rotated solids, with one diagonal for the batch or one per
+    solid; diagonals of any sign and scale, some entries zero."""
+    rng = np.random.default_rng(seed)
+    vertices = np.stack([solid(random_rotation(rng)).vertices
+                         for _ in range(int(np.prod(batch)))]).reshape(*batch, -1, 3)
+    diag = rng.standard_normal(3 if shared else (*batch, 3)) * 10.0 ** rng.integers(-3, 4, 3)
+    diag[rng.random(diag.shape) < 0.2] = 0.0
+    norms, total = mapped_norms(vertices, diag)
+    expected_norms, expected_total = einsum_mapped_norms(vertices, diag)
+    assert norms.shape == expected_norms.shape and total.shape == expected_total.shape
+    assert np.array_equal(norms, expected_norms) and np.array_equal(total, expected_total)
 
 
 @pytest.mark.parametrize("maker", [icosahedron, cube, octahedron])

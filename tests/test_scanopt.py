@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import elliprg
@@ -33,7 +33,8 @@ from finitelhs.scanopt import (
     zero_entanglement_interval,
 )
 
-from conftest import random_unit_vectors
+from conftest import as_diag, random_physical_diag, random_unit_vectors
+from decompose_oracle import einsum_orientation_search
 import scan_oracle
 from scan_oracle import axial_point, max_visibility, optimal_axial_model, special_vertices
 
@@ -117,6 +118,19 @@ def test_random_search_is_reproducible():
     assert np.array_equal(rot_a.quat, rot_b.quat)
     c, _ = random_orientation_search(DiagMat3(0.4, 0.4, 0.8), 200, seed=4)
     assert c != a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(0, 1, 0)
+def test_random_search_matches_the_einsum_oracle(target_seed, n, seed):
+    """The same (visibility, rotation), bit for bit, as the search that
+    rotates the vertices with einsum and takes np.linalg.norm."""
+    d = random_physical_diag(np.random.default_rng(target_seed))[0]
+    assume(np.abs(d).min() > 1e-6)
+    t, rot = random_orientation_search(as_diag(d), n, seed=seed)
+    expected_t, expected_rot = einsum_orientation_search(as_diag(d), n, seed=seed)
+    assert t == expected_t and np.array_equal(rot.quat, expected_rot.quat)
 
 
 def test_random_search_never_beats_special_orientations():
@@ -223,10 +237,11 @@ def test_werner_reference_matches_the_pointwise_oracle():
 
 
 def test_second_scan_reuses_the_constant_geometry(monkeypatch):
-    """After one scan and summary, another builds no polyhedron and runs
-    no bisection besides its grid solve."""
+    """After one scan and summary, another builds no polyhedron, runs no
+    bisection besides its grid solve and sizes no point besides its grid:
+    the Werner reference is kept too."""
     scan_summary(scan_axial_family(24, t0z_min=0.035))
-    calls = {"polyhedron_from_vertices": 0, "bisect": 0}
+    calls = {"polyhedron_from_vertices": 0, "bisect": 0, "_axial_points": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -240,8 +255,9 @@ def test_second_scan_reuses_the_constant_geometry(monkeypatch):
     count(geometry, "polyhedron_from_vertices")
     count(boundary, "bisect")
     count(scanopt, "bisect")
+    count(scanopt, "_axial_points")
     scan_summary(scan_axial_family(24, t0z_min=0.035))
-    assert calls == {"polyhedron_from_vertices": 0, "bisect": 1}
+    assert calls == {"polyhedron_from_vertices": 0, "bisect": 1, "_axial_points": 1}
 
 
 def test_special_vertices_are_cached_and_read_only():
