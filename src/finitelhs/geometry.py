@@ -1,15 +1,22 @@
 """Rotations, unit-sphere polyhedra, and convex vertex decompositions.
 
-The canonical icosahedron is one read-only vertex array; the special
-orientations and their rotated vertex sets are read from it without
-building a hull.
+The built-in solids are constants: each has one read-only canonical vertex
+array, and its faces come from one cached hull, since a rotation cannot
+change them.  A rotated solid is its rotated vertices, those faces, and
+the inradius of its rotated facet planes, bit for bit the hull of the
+rotated vertices.  A hull is built once per solid, and for every vertex
+set given to ``polyhedron_from_vertices``, such as a loaded model's.  The
+special orientations and their rotated icosahedron vertices are read from
+the canonical array too.
 
-``exit_faces`` finds the face cone of a direction from the argmax of
-x.n/d alone, on a face frame it checks once per polyhedron.  Only rows on
-a split facet get barycentric coordinates, and ``_exit_candidates``, which
-compares every candidate exit face of a row, runs only for rows on a facet
-of three or more pieces or on an edge or vertex of a split facet, and for
-every row of ``decompose_directions``.
+``exit_faces`` finds the face cone of each direction face-major, on the
+columns of x.T: the scores x.n/d of all directions are one (faces, n)
+product, and the first maximum of each column names the face, on a face
+frame checked once per polyhedron.  Only columns on a split facet get
+barycentric coordinates, and ``_exit_candidates``, which compares every
+candidate exit face of a row, runs only for rows on a facet of three or
+more pieces or on an edge or vertex of a split facet, and for every row
+of ``decompose_directions``.
 """
 
 from __future__ import annotations
@@ -141,7 +148,12 @@ class Polyhedron:
 
     @cached_property
     def _face_frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(outward unit normals (F,3), plane offsets (F,), inverse corner matrices (F,3,3))."""
+        """(outward unit normals (F,3), plane offsets (F,), inverse corner matrices (F,3,3)).
+
+        Raises RuntimeError before inverting a corner matrix when a face
+        plane passes within HULL_TOL of the origin, where that matrix is
+        singular or nearly so.
+        """
         corners = self.vertices[self.faces]           # (F, 3, 3)
         a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
         n = np.cross(b - a, c - a)
@@ -149,6 +161,9 @@ class Polyhedron:
         n[flip] *= -1.0
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         d = np.einsum("fi,fi->f", n, a)
+        if not d.min() > HULL_TOL:
+            raise RuntimeError(f"ray-face intersection failed: a face plane passes "
+                               f"{d.min():.3e} from the origin")
         inv = np.linalg.inv(corners.transpose(0, 2, 1))  # columns are the corners
         return n, d, inv
 
@@ -160,22 +175,20 @@ class Polyhedron:
 
         Checks the face frame first: the faces must close into one
         oriented surface (every directed edge once, and its reverse once),
-        every plane must pass strictly outside the origin, and every vertex
-        must lie within HULL_TOL behind every plane.  On such a frame the
-        ray along x leaves through the face whose plane it meets first.
-        Raises RuntimeError otherwise.
+        every plane must pass strictly outside the origin (checked by
+        ``_face_frames``), and every vertex must lie within HULL_TOL
+        behind every plane.  On such a frame the ray along x leaves
+        through the face whose plane it meets first.  Raises RuntimeError
+        otherwise.
         """
         n = len(self.vertices)
-        normals, offsets, _ = self._face_frames
         edges = self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         forward = np.sort(edges[:, 0] * n + edges[:, 1])
         if (np.diff(forward) == 0).any() or not np.array_equal(
                 forward, np.sort(edges[:, 1] * n + edges[:, 0])):
             raise RuntimeError("ray-face intersection failed: the faces do not close "
                                "into one oriented surface")
-        if not offsets.min() > HULL_TOL:
-            raise RuntimeError(f"ray-face intersection failed: a face plane passes "
-                               f"{offsets.min():.3e} from the origin")
+        normals, offsets, _ = self._face_frames
         height = self.vertices @ normals.T - offsets  # (n, F)
         if height.max() > HULL_TOL:
             vertex, face = np.unravel_index(np.argmax(height), height.shape)
@@ -205,6 +218,18 @@ def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     return ee[:, 1:4] * ff[:, 2:5] - ee[:, 2:5] * ff[:, 1:4]
 
 
+def _planes(v: np.ndarray, triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals (T, 3) of the planes through the vertex triples, and
+    their signed offsets (T,) from the origin."""
+    corners = v[triples]                           # (T, 3, 3)
+    a = corners[:, 0]
+    normal = _cross(corners[:, 1] - a, corners[:, 2] - a)
+    scale = np.linalg.norm(normal, axis=1)
+    offset = np.einsum("ti,ti->t", normal, a) / scale
+    normal /= scale[:, None]
+    return normal, offset
+
+
 @lru_cache(maxsize=32)
 def _triples(n: int) -> np.ndarray:
     """All index triples i < j < k below n, in lexicographic order (read-only)."""
@@ -226,6 +251,14 @@ def polyhedron_from_vertices(vertices, kind: str = "custom") -> Polyhedron:
     duplicated points or when the origin is not strictly inside the hull.
     """
     v = as_unit_rows(vertices, "vertices")
+    faces, _, inradius = _hull(v)
+    return Polyhedron(vertices=v, faces=faces, inradius=inradius, kind=kind)
+
+
+def _hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(faces, facet triples, inradius) of the hull of the unit rows of
+    ``v``: every triple spanning a facet, the faces among them included,
+    ordered counter-clockwise seen from outside."""
     n = len(v)
     if n < 4:
         raise ValueError(f"need at least 4 vertices, got {n}")
@@ -235,12 +268,7 @@ def polyhedron_from_vertices(vertices, kind: str = "custom") -> Polyhedron:
         raise ValueError("vertices must be in convex position: a vertex is duplicated")
 
     triples = _triples(n)
-    corners = v[triples]                           # (T, 3, 3)
-    a = corners[:, 0]
-    normal = _cross(corners[:, 1] - a, corners[:, 2] - a)
-    scale = np.linalg.norm(normal, axis=1)
-    offset = np.einsum("ti,ti->t", normal, a) / scale
-    normal /= scale[:, None]
+    normal, offset = _planes(v, triples)
     height = v @ normal.T - offset                 # (n, T)
     inside = height.max(axis=0) <= HULL_TOL
     outside = height.min(axis=0) >= -HULL_TOL
@@ -268,13 +296,14 @@ def polyhedron_from_vertices(vertices, kind: str = "custom") -> Polyhedron:
         side = np.where(on_plane[:, polygon], v @ w.T - np.einsum("ti,ti->t", w, v[j]), 0.0)
         chord = (side.min(axis=0) >= -HULL_TOL) | (side.max(axis=0) <= HULL_TOL)
         keep[polygon[lowest & chord]] = True
-    faces = np.where(flip[keep, None], triples[keep][:, [0, 2, 1]], triples[keep])
+    outward = np.where(flip[:, None], triples[:, [0, 2, 1]], triples)
+    faces = outward[keep]
     if len(faces) != 2 * n - 4:
         raise ValueError(
             f"degenerate vertex set: {len(faces)} hull triangles for {n} vertices, "
             f"expected {2 * n - 4}"
         )
-    return Polyhedron(vertices=v, faces=faces, inradius=inradius, kind=kind)
+    return faces, outward[facet], inradius
 
 
 def _rotated(v: np.ndarray, orientation: Rotation | None) -> np.ndarray:
@@ -287,38 +316,63 @@ def _rotated(v: np.ndarray, orientation: Rotation | None) -> np.ndarray:
     return v
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# The canonical vertices of the built-in solids (read-only).
+_SOLID_VERTICES = {
+    "icosahedron": ICOSAHEDRON_VERTICES,
+    "tetrahedron": _read_only(np.array([
+        [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0],
+    ]) / np.sqrt(3.0)),
+    "cube": _read_only(np.array([
+        (a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)
+    ]) / np.sqrt(3.0)),
+    "octahedron": _read_only(np.array([
+        [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0],
+    ])),
+}
+
+
+@cache
+def _solid_facets(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The faces and facet triples of a built-in solid's canonical hull,
+    read-only; a rotation changes neither."""
+    faces, facets, _ = _hull(_SOLID_VERTICES[name])
+    return _read_only(faces), _read_only(facets)
+
+
+def _solid(name: str, orientation: Rotation | None, kind: str = "custom") -> Polyhedron:
+    """A built-in solid rotated by ``orientation``: the hull of its rotated
+    vertices, bit for bit, without building it.  The inradius is the
+    nearest plane of the canonical facet triples, by the hull's arithmetic."""
+    v = _rotated(_SOLID_VERTICES[name], orientation)
+    faces, facets = _solid_facets(name)
+    return Polyhedron(vertices=v, faces=faces, inradius=float(_planes(v, facets)[1].min()),
+                      kind=kind)
+
+
 def icosahedron(orientation: Rotation | None = None) -> Polyhedron:
     """The regular icosahedron inscribed in the unit sphere.
 
     Canonical vertices are ``ICOSAHEDRON_VERTICES``; ``orientation``
     rotates the whole solid.
     """
-    return polyhedron_from_vertices(_rotated(ICOSAHEDRON_VERTICES, orientation),
-                                    kind="icosahedron")
+    return _solid("icosahedron", orientation, kind="icosahedron")
 
 
 def tetrahedron() -> Polyhedron:
-    v = np.array([
-        [1.0, -1.0, 1.0],
-        [1.0, 1.0, -1.0],
-        [-1.0, 1.0, 1.0],
-        [-1.0, -1.0, -1.0],
-    ]) / np.sqrt(3.0)
-    return polyhedron_from_vertices(v, kind="tetrahedron")
+    return _solid("tetrahedron", None, kind="tetrahedron")
 
 
 def cube(orientation: Rotation | None = None) -> Polyhedron:
-    v = np.array([
-        (a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)
-    ]) / np.sqrt(3.0)
-    return polyhedron_from_vertices(_rotated(v, orientation), kind="custom")
+    return _solid("cube", orientation)
 
 
 def octahedron(orientation: Rotation | None = None) -> Polyhedron:
-    v = np.array([
-        [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0],
-    ])
-    return polyhedron_from_vertices(_rotated(v, orientation), kind="custom")
+    return _solid("octahedron", orientation)
 
 
 def vertex_signs(vertices: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -418,38 +472,70 @@ def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     a bad one raises RuntimeError.  On a closed convex frame the face
     plane the ray along x meets first, the one maximizing x.n/d, holds
     the exit point, so a triangular facet needs no further test.  The
-    coplanar pieces of a split facet tie on that score, and the argmax
-    then names the same piece wherever x lies in the facet, so only rows
-    on a split piece get barycentric coordinates.  A row where one is
-    below -1e-12 takes the piece's partner when all of the partner's
-    exceed 1e-12.  The rest, on a facet of three or more pieces or on an
-    edge or vertex of the partner, take the piece ``_exit_candidates``
-    picks.  On an edge or vertex the faces that meet there agree to
-    rounding, so any of them would do.
+    work runs face-major, on the columns of x.T: the scores are one
+    (F, n) product, and ``_first_max`` takes the first maximum of each
+    column, as ``np.argmax`` would.  The coplanar pieces of a split facet
+    tie on that score, and the first maximum then names the same piece
+    wherever x lies in the facet, so only columns on a split piece get
+    barycentric coordinates.  A column where one is below -1e-12 takes
+    the piece's partner when all of the partner's exceed 1e-12.  The
+    rest, on a facet of three or more pieces or on an edge or vertex of
+    the partner, take the piece ``_exit_candidates`` picks.  On an edge
+    or vertex the faces that meet there agree to rounding, so any of them
+    would do.
     """
     partner = p._partners
     normals, offsets, inv = p._face_frames
-    hit = np.argmax(x @ (normals / offsets[:, None]).T, axis=1)
-    rows = np.flatnonzero(partner[hit] != hit)
-    if len(rows):
-        rows = rows[_below(inv, hit[rows], x[rows], -1e-12)]
-        other = partner[hit[rows]]
+    hit = _first_max((normals / offsets[:, None]) @ x.T)
+    cols = np.flatnonzero(partner[hit] != hit)
+    if len(cols):
+        corners = inv.reshape(-1, 9).T             # row 3i + j holds inv[:, i, j]
+        cols = cols[_below(corners, hit[cols], np.take(x, cols, axis=0).T, -1e-12)]
+        other = partner[hit[cols]]
         inside = other >= 0
-        inside[inside] = ~_below(inv, other[inside], x[rows[inside]], 1e-12)
-        hit[rows[inside]] = other[inside]
+        inside[inside] = ~_below(corners, other[inside],
+                                 np.take(x, cols[inside], axis=0).T, 1e-12)
+        hit[cols[inside]] = other[inside]
         if not inside.all():
-            hit[rows[~inside]] = _exit_candidates(p, x[rows[~inside]])[0]
+            hit[cols[~inside]] = _exit_candidates(p, x[cols[~inside]])[0]
     return hit
 
 
-def _below(inv: np.ndarray, faces: np.ndarray, x: np.ndarray, bound: float) -> np.ndarray:
-    """Whether the ray along each row of ``x`` meets the plane of its face
-    in ``faces`` at a point whose lowest barycentric coordinate is below
-    ``bound`` (the coordinates summing to 1)."""
+def _first_max(scores: np.ndarray) -> np.ndarray:
+    """The row of the first maximum in each column of ``scores`` (F, n),
+    ``np.argmax(scores, axis=0)`` without its per-column cost.
+
+    One product of [0, 1, ..., F-1; 1, ..., 1] with the 0/1 matrix of the
+    column maxima gives each column's maximal row and its count of maxima
+    at once; only columns whose count is not 1 (a tie, or a NaN) go to
+    ``np.argmax``.  The sums are integers, exact in float32 for fewer
+    than 2**24 rows.
+    """
+    top = np.empty(scores.shape, dtype=np.float32)
+    np.equal(scores, scores.max(axis=0), out=top)
+    rows = np.ones((2, len(scores)), dtype=np.float32)
+    rows[0] = np.arange(len(scores))
+    index, count = rows @ top
+    hit = index.astype(np.intp)
+    tie = np.flatnonzero(count != 1.0)
+    if len(tie):
+        hit[tie] = np.argmax(scores[:, tie], axis=0)
+    return hit
+
+
+def _below(corners: np.ndarray, faces: np.ndarray, xT: np.ndarray, bound: float) -> np.ndarray:
+    """Whether the ray along each column of ``xT`` (3, m) meets the plane of
+    its face in ``faces`` at a point whose lowest barycentric coordinate is
+    below ``bound`` (the coordinates summing to 1); ``corners`` (9, F) holds
+    the inverse corner matrices, row 3i + j for entry (i, j)."""
     # coordinates divided by s: they sum to 1/s, the exit point being on the plane
-    bary = np.einsum("nij,nj->ni", inv[faces], x)
-    low = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
-    return low < bound * (bary[:, 0] + bary[:, 1] + bary[:, 2])
+    bary = np.take(corners, faces, axis=1).reshape(3, 3, -1)
+    bary *= xT
+    # summed (j = 0 + j = 2) + j = 1, the order of np.einsum("nij,nj->ni"):
+    # on an edge or a vertex the face picked depends on these bits
+    bary = bary[:, 0] + bary[:, 2] + bary[:, 1]
+    low = np.minimum(np.minimum(bary[0], bary[1]), bary[2])
+    return low < bound * (bary[0] + bary[1] + bary[2])
 
 
 def special_orientations() -> tuple[Rotation, Rotation, Rotation]:

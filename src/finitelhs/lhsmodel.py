@@ -241,11 +241,6 @@ def response_maps(model: FiniteLhsModel) -> np.ndarray:
     return model.etas.T[None]
 
 
-def _column_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns of a (3, n) array, row by row."""
-    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-
-
 RESIDUALS = ("max_trace_err", "max_bloch_err", "alice_marginal_err",
              "bob_marginal_err", "certificate_err")
 
@@ -305,11 +300,16 @@ def verify_model(model: FiniteLhsModel, state: TState,
     :func:`geometry.exit_faces`: the worst trace and Bloch
     deviations over both outcomes, Alice's marginal bias (mean
     |sum_i q_i f|) and Bob's reduced Bloch vector (|sum_i q_i bloch_i|).
-    The products are kept as four contiguous rows over the directions.
-    A sign mixture whose polyhedron has a bad face frame raises
-    RuntimeError from ``exit_faces``.
+    The work runs on the columns of x.T: row 4i + j of a (12, regions)
+    table holds entry (i, j) of every region's [a, M], the columns of the
+    regions hit are taken once, and three multiply-adds by the rows of
+    x.T give the four products as contiguous rows over the directions.
+    The Bloch deviation takes one square root, of the largest squared
+    norm.  A sign mixture whose polyhedron has a bad face frame raises
+    RuntimeError from ``exit_faces`` or ``response_maps``.
     """
     x = as_unit_rows(directions, "verification directions")
+    xT = np.ascontiguousarray(x.T)
     q = model.weights
     blochs = model.blochs
     # column 0 of each region is a, columns 1..3 are M
@@ -319,22 +319,32 @@ def verify_model(model: FiniteLhsModel, state: TState,
                                   np.linalg.norm(coeffs[:, :, 1:] - np.diag(corr), axis=(1, 2)))
     if isinstance(model.response, SignMixture):
         hit = exit_faces(model.response.polyhedron, x)
-        products = np.einsum("ni,nij->nj", x, coeffs[hit])
+        terms = np.take(coeffs.reshape(-1, 12).T, hit, axis=1).reshape(3, 4, -1)
+        terms *= xT[:, None]                       # terms[i, j] = x_i [a, M]_ij
+        products = terms[0]
+        products += terms[1]
+        products += terms[2]                       # (4, n): x . a, then x M
         worst_face = int(np.argmax(per_region))
     else:
-        products = x @ coeffs[0]
+        products = coeffs[0].T @ xT
         worst_face = None
-    products = products.T.copy()                   # (4, n): x . a, then x M
     bias = products[0]                             # sum_i q_i f(x, i)
-    gap = products[1:] - corr[:, None] * x.T       # sum_i q_i f bloch_i - T x
+    gap = products[1:]
+    gap -= corr[:, None] * xT                      # sum_i q_i f bloch_i - T x
     bob = q @ blochs
     # outcome o = +-1: trace (sum q + o bias) / 2, Bloch deviation (bob + o gap) / 2
-    max_bloch = 0.5 * np.maximum(_column_norms(bob[:, None] + gap),
-                                 _column_norms(bob[:, None] - gap)).max()
+    plus = gap + bob[:, None]
+    minus = np.subtract(bob[:, None], gap, out=gap)
+    plus *= plus
+    minus *= minus
+    # sqrt is monotone and correctly rounded: the root of the largest
+    # squared norm is the largest norm, bit for bit
+    worst = np.maximum(plus[0] + plus[1] + plus[2], minus[0] + minus[1] + minus[2]).max()
+    abs_bias = np.abs(bias)
     return VerificationReport(
-        max_trace_err=float(0.5 * (abs(q.sum() - 1.0) + np.abs(bias).max())),
-        max_bloch_err=float(max_bloch),
-        alice_marginal_err=float(np.abs(bias).mean()),
+        max_trace_err=float(0.5 * (abs(q.sum() - 1.0) + abs_bias.max())),
+        max_bloch_err=float(0.5 * np.sqrt(worst)),
+        alice_marginal_err=float(abs_bias.mean()),
         bob_marginal_err=float(np.linalg.norm(bob)),
         certificate_err=float(per_region.max()),
         n_directions=len(x),
@@ -374,7 +384,7 @@ def _entry(i: int, atom: dict, key: str) -> np.ndarray:
     3-vector otherwise.  A bad entry is named by its atom and key."""
     try:
         value = np.asarray(atom[key], dtype=float)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"atom {i} {key}: {exc}") from exc
     shape = () if key == "q" else (3,)
     if value.shape != shape:
@@ -400,7 +410,7 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
         q, blochs, preimages = (np.array([_entry(i, a, key) for i, a in enumerate(atoms)])
                                 for key in ("q", "lambda", "lambda_prime"))
         etas = [_entry(i, a, "eta") for i, a in enumerate(atoms) if "eta" in a]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     if kind == "sign_mixture":
         poly = polyhedron_from_vertices(as_unit_rows(preimages, "atom preimage"), kind="custom")

@@ -5,6 +5,9 @@ on every face, for ``geometry.decompose_directions``, which computes them
 only for the candidate exit faces of each direction.
 ``checked_exit_faces`` checks the argmax face of every direction, for
 ``geometry.exit_faces``, which checks only the rows on split facets.
+``row_exit_faces`` is ``exit_faces`` direction-major: a per-row
+``np.argmax`` and an (n, 3, 3) gather of the inverse corner matrices, for
+the face-major ``exit_faces``.
 ``einsum_mapped_norms`` and ``einsum_orientation_search`` rotate with
 ``einsum`` and take norms with ``np.linalg.norm``, for
 ``lhsmodel.mapped_norms`` and ``scanopt.random_orientation_search``.
@@ -84,6 +87,35 @@ def checked_exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     if len(outside):
         hit[outside] = _exit_candidates(p, x[outside])[0]
     return hit
+
+
+def row_exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
+    """``geometry.exit_faces`` on the rows of ``x``: the argmax of x.n/d
+    per row, barycentric coordinates from an ``einsum`` over the gathered
+    (n, 3, 3) inverse corner matrices of the rows on a split piece, the
+    partner where all of its coordinates exceed 1e-12, and
+    ``_exit_candidates`` for the rest."""
+    partner = p._partners
+    normals, offsets, inv = p._face_frames
+    hit = np.argmax(x @ (normals / offsets[:, None]).T, axis=1)
+    rows = np.flatnonzero(partner[hit] != hit)
+    if len(rows):
+        rows = rows[_rows_below(inv, hit[rows], x[rows], -1e-12)]
+        other = partner[hit[rows]]
+        inside = other >= 0
+        inside[inside] = ~_rows_below(inv, other[inside], x[rows[inside]], 1e-12)
+        hit[rows[inside]] = other[inside]
+        if not inside.all():
+            hit[rows[~inside]] = _exit_candidates(p, x[rows[~inside]])[0]
+    return hit
+
+
+def _rows_below(inv: np.ndarray, faces: np.ndarray, x: np.ndarray, bound: float) -> np.ndarray:
+    """Whether the lowest barycentric coordinate of each row of ``x`` on
+    its face in ``faces`` is below ``bound`` (the coordinates summing to 1)."""
+    bary = np.einsum("nij,nj->ni", inv[faces], x)
+    low = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
+    return low < bound * (bary[:, 0] + bary[:, 1] + bary[:, 2])
 
 
 def einsum_mapped_norms(vertices: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

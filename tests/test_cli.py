@@ -480,6 +480,29 @@ def test_verify_malformed_model_exit_2(capsys, tmp_path, edit, message):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: {**d, "t": 10**400}, "malformed model document: int too large to convert to float"),
+    (lambda d: _first_atom(d, q=10**400), "atom 0 q: int too large to convert to float"),
+], ids=["huge-t", "huge-q"])
+def test_verify_huge_integer_exit_2(capsys, tmp_path, edit, message):
+    """A 400-digit integer has no float: the command, run as its own
+    process, exits 2 with one line, not 1 with an OverflowError traceback."""
+    path = tmp_path / "m.json"
+    code, _, _ = run(capsys, ["model", "icosa", *WERNER_ARGS, "--out", str(path)])
+    assert code == 0
+    path.write_text(json.dumps(edit(serialize.loads(path.read_text()))))
+    src = str(Path(finitelhs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "finitelhs.cli", "verify", "--model", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_model_non_finite_quaternion_exit_2(capsys, bad):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -27,13 +28,19 @@ from finitelhs.geometry import (
     special_orientations,
     tetrahedron,
 )
-from finitelhs.lhsmodel import SignMixture, build_polyhedron_model, verify_model
+from finitelhs.lhsmodel import (
+    FiniteLhsModel,
+    SignMixture,
+    build_polyhedron_model,
+    mapped_norms,
+    verify_model,
+)
 from finitelhs.qstate import DiagMat3
 
 from conftest import random_unit_vectors, tie_directions
 from convex_hull_oracle import PLANE_TOL, hull_facets
-from decompose_oracle import all_faces_decompose, checked_exit_faces
-from response_oracle import convex_decompose
+from decompose_oracle import all_faces_decompose, checked_exit_faces, row_exit_faces
+from response_oracle import convex_decompose, row_verify_model
 from sphere_quadrature import fibonacci_sphere
 
 
@@ -276,15 +283,84 @@ def test_exit_faces_match_the_checked_oracle(solid, quat, seed, lam):
     assert np.array_equal(exit_faces(p, x), checked_exit_faces(p, x))
 
 
+def sign_mixture_model(p: Polyhedron, target: DiagMat3) -> FiniteLhsModel:
+    """One atom per vertex of any inversion-symmetric solid, weighted by
+    |T0 v_i| as ``build_polyhedron_model`` weights them, at visibility 1/2;
+    it needs no sign-sum constant, so a prism carries it too."""
+    norms, total = mapped_norms(p.vertices, target.as_array())
+    return FiniteLhsModel(weights=norms / total, blochs=target.apply(p.vertices) / norms[:, None],
+                          preimages=p.vertices, response=SignMixture(p), target=target,
+                          visibility=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron, hexagonal_prism]),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0),
+       st.sampled_from([(-0.6, -0.5, -0.4), (0.3, -0.2, 0.5), (-1.0, -1.0, -1.0)]))
+@example(cube, (1.0, 0.0, 0.0, 0.0), 0, 0.5, (-0.6, -0.5, -0.4))
+@example(hexagonal_prism, (1.0, 0.0, 0.0, 0.0), 0, 0.5, (-0.6, -0.5, -0.4))
+@example(cube, (0.0, 1.0, 0.5, 0.0), 0, 1e-12, (-0.6, -0.5, -0.4))
+def test_face_major_grid_matches_the_row_oracles(solid, quat, seed, lam, diag):
+    """Bit for bit the faces of ``row_exit_faces`` and the report of
+    ``row_verify_model``, the direction-major forms of ``exit_faces`` and
+    of ``verify_model``'s grid, on random rows and on rows that tie
+    between faces."""
+    assume(np.linalg.norm(quat) > 0.1)
+    p = solid(Rotation.from_quat(quat))
+    x = np.vstack([random_unit_vectors(np.random.default_rng(seed), 300), tie_directions(p, lam)])
+    assert np.array_equal(exit_faces(p, x), row_exit_faces(p, x))
+    model = sign_mixture_model(p, DiagMat3(*diag))
+    state = model.simulated_state()
+    assert repr(verify_model(model, state, x)) == repr(row_verify_model(model, state, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans())
+@example(1, 5, 0, True)
+def test_first_max_matches_argmax(n_faces, n_cols, seed, with_nan):
+    """The first maximum of each column, as ``np.argmax(axis=0)`` gives
+    it: exact ties, +0 against -0, infinities, columns all equal, NaN, and
+    a single face."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
+    shape = (n_faces, n_cols)
+    scores = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.standard_normal(shape))
+    scores[:, rng.random(n_cols) < 0.2] = 0.5
+    if with_nan:
+        scores[rng.random(shape) < 0.02] = np.nan
+    assert np.array_equal(geometry._first_max(scores), np.argmax(scores, axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron]), st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+@example(icosahedron, (1.0, 0.0, 0.0, 0.0))
+@example(cube, (1.0, 0.0, 0.0, 0.0))
+@example(octahedron, (1.0, 0.0, 0.0, 0.0))
+def test_rotated_solids_match_their_hull(solid, quat):
+    """A built-in solid at any orientation is bit for bit the hull of its
+    rotated vertices: the same vertices, faces and inradius."""
+    assume(np.linalg.norm(quat) > 0.1)
+    p = solid(Rotation.from_quat(quat))
+    hull = polyhedron_from_vertices(p.vertices, kind=p.kind)
+    assert np.array_equal(p.vertices, hull.vertices)
+    assert np.array_equal(p.faces, hull.faces)
+    assert p.inradius == hull.inradius
+    unrotated = solid()
+    assert np.array_equal(unrotated.faces, p.faces)
+    assert unrotated.inradius == polyhedron_from_vertices(unrotated.vertices).inradius
+
+
 def test_exit_faces_check_coordinates_on_split_facets_only(monkeypatch, rng):
     """No barycentric coordinates on an icosahedron or octahedron; on a
     cube only the random rows that miss their argmax piece take a second
     look, and none reaches _exit_candidates."""
     checked = []
 
-    def below(inv, faces, x, bound):
-        checked.append(len(x))
-        return below.original(inv, faces, x, bound)
+    def below(corners, faces, xT, bound):
+        checked.append(xT.shape[1])
+        return below.original(corners, faces, xT, bound)
 
     below.original = geometry._below
     monkeypatch.setattr(geometry, "_below", below)
@@ -356,6 +432,35 @@ def test_frame_with_a_plane_through_the_origin_fails():
     moved = Polyhedron(tet.vertices - (offsets[0] - 1e-12) * normals[0], tet.faces, 1e-12, "moved")
     with pytest.raises(RuntimeError, match="ray-face intersection failed: a face plane passes"):
         exit_faces(moved, -normals[:1])
+
+
+def origin_frames() -> list[Polyhedron]:
+    """Frames with a face plane exactly through the origin: a tetrahedron
+    with vertex 0 moved there, and an icosahedron with vertex 0 and its
+    antipode 9 moved there, which keeps the vertex set inversion
+    symmetric."""
+    tet, ico = tetrahedron(), icosahedron()
+    tv, iv = tet.vertices.copy(), ico.vertices.copy()
+    tv[0] = 0.0
+    iv[[0, 9]] = 0.0
+    return [Polyhedron(tv, tet.faces, tet.inradius, "origin vertex"),
+            Polyhedron(iv, ico.faces, ico.inradius, "origin vertices")]
+
+
+@pytest.mark.parametrize("frame", origin_frames(), ids=["tetrahedron", "icosahedron"])
+def test_frame_with_a_plane_exactly_through_the_origin_fails(frame, rng):
+    """The offset check runs before any corner matrix is inverted, so a
+    singular one gives the frame error, not numpy's LinAlgError; from
+    exit_faces and from verify_model on a model whose response reads the
+    frame."""
+    match = re.escape("ray-face intersection failed: a face plane passes 0.000e+00 from the origin")
+    with pytest.raises(RuntimeError, match=match):
+        exit_faces(frame, random_unit_vectors(rng, 10))
+    if frame.is_inversion_symmetric:
+        model = build_polyhedron_model(DiagMat3(-0.6, -0.5, -0.4), icosahedron())
+        model = replace(model, response=SignMixture(frame, model.response.scale))
+        with pytest.raises(RuntimeError, match=match):
+            verify_model(model, model.simulated_state(), random_unit_vectors(rng, 10))
 
 
 def test_random_rotation_reproducible_and_orthogonal():

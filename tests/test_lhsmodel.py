@@ -46,7 +46,12 @@ from conftest import (
 )
 from decompose_oracle import all_faces_decompose, einsum_mapped_norms
 from qstate_oracle import Measurement
-from response_oracle import convex_decompose, response_probability, response_value
+from response_oracle import (
+    convex_decompose,
+    response_probability,
+    response_value,
+    row_verify_model,
+)
 from sphere_quadrature import fibonacci_sphere
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
@@ -548,6 +553,20 @@ def test_max_residual_keeps_nan():
     report = VerificationReport(0.0, 2e-3, 1e-3, 0.0, 3e-3, n_directions=1)
     assert report.max_residual == 3e-3
     assert report.worst() == {"residual": "certificate_err", "face": None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.integers(1, 400), st.integers(0, 2**32 - 1))
+@example((0.5, -0.25, 0.25), 1, 0)
+def test_linear_grid_matches_the_row_oracle(diag, n, seed):
+    """A linear-response report is bit for bit that of
+    ``row_verify_model``, whose products are rows of x @ A, not A^T x^T."""
+    d = np.array(diag)
+    assume(np.abs(d).sum() > 0.1)
+    model = build_separable_tetrahedron_model(DiagMat3(*(d / np.abs(d).sum())))
+    state = model.simulated_state()
+    x = random_unit_vectors(np.random.default_rng(seed), n)
+    assert repr(verify_model(model, state, x)) == repr(row_verify_model(model, state, x))
 
 
 @settings(max_examples=60, deadline=None)
