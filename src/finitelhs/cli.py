@@ -38,8 +38,7 @@ from .boundary import (
     sample_axial_family,
 )
 from .geometry import (
-    ICOSAHEDRON_INRADIUS,
-    ICOSAHEDRON_SIGN_SUM,
+    SOLID_CONSTANTS,
     Rotation,
     cube,
     icosahedron,
@@ -139,10 +138,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     else:
         target = DiagMat3(*args.t0)
         orientation, echo = _parse_orientation(args.orientation, args.seed)
-        if args.solid == "icosa":
-            poly_name = "icosahedron"
-        else:
-            poly_name = args.poly
+        poly_name = "icosahedron" if args.solid == "icosa" else args.poly
         maker = {"icosahedron": icosahedron, "cube": cube, "octahedron": octahedron}[poly_name]
         poly = maker(orientation)
         cap = build_polyhedron_model(target, poly)
@@ -236,7 +232,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         analytic_best = max(s_values) * VISIBILITY_PER_S
     else:
         _, sums = mapped_norms(special_vertices(), target.as_array())
-        analytic_best = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / float(sums.min())
+        analytic_best = SOLID_CONSTANTS["icosahedron"].numerator / float(sums.min())
     doc = {
         "analytic_best": analytic_best,
         "random_best": random_best,

@@ -1,13 +1,13 @@
 """Rotations, unit-sphere polyhedra, and convex vertex decompositions.
 
 The built-in solids are constants: each has one read-only canonical vertex
-array, and its faces come from one cached hull, since a rotation cannot
-change them.  A rotated solid is its rotated vertices, those faces, and
-the inradius of its rotated facet planes, bit for bit the hull of the
-rotated vertices.  A hull is built once per solid, and for every vertex
-set given to ``polyhedron_from_vertices``, such as a loaded model's.  The
-special orientations and their rotated icosahedron vertices are read from
-the canonical array too.
+array, one cached hull for its faces, since a rotation cannot change them,
+and one row of ``SOLID_CONSTANTS``, the exact sign-sum constant c and
+inradius l in closed form.  A rotated solid is its rotated vertices, those
+faces and that inradius; no hull is built for it.  A hull is built for
+every vertex set given to ``polyhedron_from_vertices``, such as a loaded
+model's.  The special orientations and their rotated icosahedron vertices
+are read from the canonical array too.
 
 ``exit_faces`` finds the face cone of each direction face-major, on the
 columns of x.T: the scores x.n/d of all directions are one (faces, n)
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,18 +220,6 @@ def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     return ee[:, 1:4] * ff[:, 2:5] - ee[:, 2:5] * ff[:, 1:4]
 
 
-def _planes(v: np.ndarray, triples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normals (T, 3) of the planes through the vertex triples, and
-    their signed offsets (T,) from the origin."""
-    corners = v[triples]                           # (T, 3, 3)
-    a = corners[:, 0]
-    normal = _cross(corners[:, 1] - a, corners[:, 2] - a)
-    scale = np.linalg.norm(normal, axis=1)
-    offset = np.einsum("ti,ti->t", normal, a) / scale
-    normal /= scale[:, None]
-    return normal, offset
-
-
 @lru_cache(maxsize=32)
 def _triples(n: int) -> np.ndarray:
     """All index triples i < j < k below n, in lexicographic order (read-only)."""
@@ -240,7 +230,7 @@ def _triples(n: int) -> np.ndarray:
     return t
 
 
-def polyhedron_from_vertices(vertices, kind: str = "custom") -> Polyhedron:
+def polyhedron_from_vertices(vertices) -> Polyhedron:
     """The convex hull of unit vectors, triangulated into 2n - 4 outward
     (counter-clockwise seen from outside) faces.
 
@@ -251,14 +241,12 @@ def polyhedron_from_vertices(vertices, kind: str = "custom") -> Polyhedron:
     duplicated points or when the origin is not strictly inside the hull.
     """
     v = as_unit_rows(vertices, "vertices")
-    faces, _, inradius = _hull(v)
-    return Polyhedron(vertices=v, faces=faces, inradius=inradius, kind=kind)
+    faces, inradius = _hull(v)
+    return Polyhedron(vertices=v, faces=faces, inradius=inradius, kind="custom")
 
 
-def _hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(faces, facet triples, inradius) of the hull of the unit rows of
-    ``v``: every triple spanning a facet, the faces among them included,
-    ordered counter-clockwise seen from outside."""
+def _hull(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(faces, inradius) of the hull of the unit rows of ``v``."""
     n = len(v)
     if n < 4:
         raise ValueError(f"need at least 4 vertices, got {n}")
@@ -268,7 +256,11 @@ def _hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         raise ValueError("vertices must be in convex position: a vertex is duplicated")
 
     triples = _triples(n)
-    normal, offset = _planes(v, triples)
+    a, b, c = v[triples].transpose(1, 0, 2)        # the corners, (T, 3) each
+    normal = _cross(b - a, c - a)
+    scale = np.linalg.norm(normal, axis=1)
+    offset = np.einsum("ti,ti->t", normal, a) / scale
+    normal /= scale[:, None]
     height = v @ normal.T - offset                 # (n, T)
     inside = height.max(axis=0) <= HULL_TOL
     outside = height.min(axis=0) >= -HULL_TOL
@@ -277,10 +269,8 @@ def _hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     offset[flip] *= -1.0
     inradius = float(offset[facet].min())
     if inradius <= HULL_TOL:
-        raise ValueError(
-            f"the origin is not strictly inside the hull of the vertices "
-            f"(nearest face plane at {inradius:.3e})"
-        )
+        raise ValueError(f"the origin is not strictly inside the hull of the vertices "
+                         f"(nearest face plane at {inradius:.3e})")
 
     # A facet with m > 3 vertices is spanned by all C(m, 3) of its triples;
     # keep the fan from its lowest vertex i: the triples (i, j, k) whose
@@ -299,11 +289,9 @@ def _hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     outward = np.where(flip[:, None], triples[:, [0, 2, 1]], triples)
     faces = outward[keep]
     if len(faces) != 2 * n - 4:
-        raise ValueError(
-            f"degenerate vertex set: {len(faces)} hull triangles for {n} vertices, "
-            f"expected {2 * n - 4}"
-        )
-    return faces, outward[facet], inradius
+        raise ValueError(f"degenerate vertex set: {len(faces)} hull triangles for {n} "
+                         f"vertices, expected {2 * n - 4}")
+    return faces, inradius
 
 
 def _rotated(v: np.ndarray, orientation: Rotation | None) -> np.ndarray:
@@ -336,22 +324,41 @@ _SOLID_VERTICES = {
 }
 
 
+class SolidConstants(NamedTuple):
+    """A built-in solid's c in  sum_j sign(v_j . v_i) v_j = c v_i  and its
+    inradius l, the distance from the origin to every face plane."""
+
+    sign_sum: float
+    inradius: float
+
+    @property
+    def numerator(self) -> float:
+        """c * l: a model on the solid reaches visibility c l / sum_i |T0 v_i|."""
+        return self.sign_sum * self.inradius
+
+
+# The one source of each built-in solid's c and l, in closed form and
+# correctly rounded; a built-in solid's kind is its key here (read-only).
+SOLID_CONSTANTS = MappingProxyType({
+    "icosahedron": SolidConstants(float(ICOSAHEDRON_SIGN_SUM), float(ICOSAHEDRON_INRADIUS)),
+    "cube": SolidConstants(4.0, float(np.sqrt(3.0)) / 3.0),
+    "octahedron": SolidConstants(2.0, float(np.sqrt(3.0)) / 3.0),
+    "tetrahedron": SolidConstants(2.0, 1.0 / 3.0),
+})
+
+
 @cache
-def _solid_facets(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The faces and facet triples of a built-in solid's canonical hull,
-    read-only; a rotation changes neither."""
-    faces, facets, _ = _hull(_SOLID_VERTICES[name])
-    return _read_only(faces), _read_only(facets)
+def _solid_faces(name: str) -> np.ndarray:
+    """The faces of a built-in solid's canonical hull (read-only): no rotation changes them."""
+    return _read_only(_hull(_SOLID_VERTICES[name])[0])
 
 
-def _solid(name: str, orientation: Rotation | None, kind: str = "custom") -> Polyhedron:
-    """A built-in solid rotated by ``orientation``: the hull of its rotated
-    vertices, bit for bit, without building it.  The inradius is the
-    nearest plane of the canonical facet triples, by the hull's arithmetic."""
-    v = _rotated(_SOLID_VERTICES[name], orientation)
-    faces, facets = _solid_facets(name)
-    return Polyhedron(vertices=v, faces=faces, inradius=float(_planes(v, facets)[1].min()),
-                      kind=kind)
+def _solid(name: str, orientation: Rotation | None) -> Polyhedron:
+    """A built-in solid rotated by ``orientation``: its rotated vertices,
+    the canonical faces and the exact inradius, without building a hull."""
+    return Polyhedron(vertices=_rotated(_SOLID_VERTICES[name], orientation),
+                      faces=_solid_faces(name), inradius=SOLID_CONSTANTS[name].inradius,
+                      kind=name)
 
 
 def icosahedron(orientation: Rotation | None = None) -> Polyhedron:
@@ -360,11 +367,11 @@ def icosahedron(orientation: Rotation | None = None) -> Polyhedron:
     Canonical vertices are ``ICOSAHEDRON_VERTICES``; ``orientation``
     rotates the whole solid.
     """
-    return _solid("icosahedron", orientation, kind="icosahedron")
+    return _solid("icosahedron", orientation)
 
 
 def tetrahedron() -> Polyhedron:
-    return _solid("tetrahedron", None, kind="tetrahedron")
+    return _solid("tetrahedron", None)
 
 
 def cube(orientation: Rotation | None = None) -> Polyhedron:
@@ -380,26 +387,6 @@ def vertex_signs(vertices: np.ndarray, others: np.ndarray) -> np.ndarray:
     or a single vector), with |v . w| <= SIGN_TOL read as 0."""
     dots = vertices @ others.T
     return np.where(np.abs(dots) <= SIGN_TOL, 0.0, np.sign(dots))
-
-
-def sign_sum_constant(p: Polyhedron, tol: float = 1e-9) -> float:
-    """The constant c with  sum_j sign(v_j . v_i) v_j = c v_i  for every vertex.
-
-    c is 2(1 + sqrt5) = ICOSAHEDRON_SIGN_SUM for any icosahedron, 4 for a
-    cube, 2 for an octahedron or a tetrahedron.  Raises ValueError when no
-    single constant fits; that rules the polyhedron out as a
-    response-mixture carrier.
-    """
-    v = p.vertices
-    sums = vertex_signs(v, v) @ v
-    c = np.einsum("ij,ij->i", sums, v)
-    residual = np.linalg.norm(sums - c[:, None] * v, axis=1).max()
-    if residual > tol or c.max() - c.min() > tol:
-        raise ValueError(
-            f"unsupported polyhedron {p.kind!r}: vertex sign-sums are not a "
-            f"uniform multiple of the vertices (residual {residual:.3e})"
-        )
-    return float(c.mean())
 
 
 def _exit_candidates(p: Polyhedron, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,9 +419,8 @@ def _exit_candidates(p: Polyhedron, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     pick = top[np.r_[True, rows[top[1:]] != rows[top[:-1]]]]  # lowest face of those
     hit, bary = cand[pick], bary[pick]
     if bary.min() < -1e-12:
-        raise RuntimeError(
-            f"ray-face intersection failed: barycentric coordinate {bary.min():.3e}"
-        )
+        raise RuntimeError(f"ray-face intersection failed: barycentric coordinate "
+                           f"{bary.min():.3e}")
     return hit, s, bary
 
 

@@ -35,12 +35,10 @@ import numpy as np
 
 from . import serialize
 from .geometry import (
-    ICOSAHEDRON_INRADIUS,
-    ICOSAHEDRON_SIGN_SUM,
+    SOLID_CONSTANTS,
     Polyhedron,
     exit_faces,
     polyhedron_from_vertices,
-    sign_sum_constant,
     tetrahedron,
     vertex_signs,
 )
@@ -49,6 +47,10 @@ from .qstate import DiagMat3, TState, as_unit_rows
 WEIGHT_TOL = 1e-12
 ATOM_MAP_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
+# residuals at or below this are rounding noise: a report names none of them
+NOISE_FLOOR = 1e-12
+# the hull of a loaded sign mixture's preimages costs ~n^4: 92 ms and ~50 MiB at 64
+MAX_MIXTURE_VERTICES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +160,7 @@ def mapped_norms(vertices: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np
     and their sum over the vertices (...), batched over the leading axes.
 
     The model on these vertices has weights |T0 v_i| / sum and maximum
-    visibility c * inradius / sum (c from :func:`sign_sum_constant`).
+    visibility c * inradius / sum (``geometry.SOLID_CONSTANTS``).
     """
     m = vertices * diag[..., None, :]
     norms = np.sqrt(m[..., 0] * m[..., 0] + m[..., 1] * m[..., 1] + m[..., 2] * m[..., 2])
@@ -167,23 +169,25 @@ def mapped_norms(vertices: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np
 
 def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
                            visibility: float | None = None) -> FiniteLhsModel:
-    """LHS model on any inversion-symmetric polyhedron with the sign-sum
+    """LHS model on a built-in inversion-symmetric solid: an icosahedron,
+    a cube or an octahedron, at any orientation.  Each has the sign-sum
     property  sum_j sign(v_j . v_i) v_j = c v_i.
 
     One atom per vertex: weight |T0 v_i| / sum_j |T0 v_j| and Bloch vector
     T0 v_i normalized (see :func:`mapped_norms`).  The maximum visibility
-    is  c * inradius / sum_j |T0 v_j|; a smaller ``visibility`` is reached
-    by scaling the response.  An icosahedron takes the exact c and
-    inradius, as the scan and the orientation search do.
+    is  c * inradius / sum_j |T0 v_j|, with the exact c and inradius of
+    ``geometry.SOLID_CONSTANTS``, which the scan and the orientation search
+    read too; a smaller ``visibility`` is reached by scaling the response.
+    Raises ValueError for any other solid.
     """
     if target.is_singular:
         raise ValueError(f"target diagonal ({target.dx}, {target.dy}, {target.dz}) is "
                          "singular; the vertex mapping is undefined")
-    c, inradius = sign_sum_constant(poly), poly.inradius
-    if poly.kind == "icosahedron":
-        c, inradius = ICOSAHEDRON_SIGN_SUM, ICOSAHEDRON_INRADIUS
+    if poly.kind not in SOLID_CONSTANTS:
+        raise ValueError(f"unsupported polyhedron {poly.kind!r}: the sign-sum constant is "
+                         f"known for the built-in solids only ({', '.join(SOLID_CONSTANTS)})")
     norms, total = mapped_norms(poly.vertices, target.as_array())
-    t_max = float(c * inradius / total)
+    t_max = float(SOLID_CONSTANTS[poly.kind].numerator / total)
     if visibility is None:
         visibility = t_max
     elif not (0.0 <= visibility <= t_max + 1e-12):
@@ -207,10 +211,8 @@ def build_separable_tetrahedron_model(target: DiagMat3) -> FiniteLhsModel:
     diag = target.as_array()
     norm = float(np.abs(diag).sum())
     if abs(norm - 1.0) > BOUNDARY_TOL:
-        raise ValueError(
-            f"target diagonal {tuple(diag.tolist())} is not on the separable boundary "
-            f"(|dx|+|dy|+|dz| = {norm!r})"
-        )
+        raise ValueError(f"target diagonal {tuple(diag.tolist())} is not on the separable "
+                         f"boundary (|dx|+|dy|+|dz| = {norm!r})")
     signs = np.where(diag < 0, -1.0, 1.0)
     root = np.sqrt(np.abs(diag))
     tet = tetrahedron()
@@ -250,8 +252,8 @@ class VerificationReport:
     """Worst-case deviations between a model and a quantum assemblage.
 
     ``certificate_err`` is the exact per-region check; ``worst_face`` is
-    the face where it is largest (None for a linear-response model, whose
-    only region is the whole sphere).
+    the face where it is largest (None at or below NOISE_FLOOR, and for a
+    linear-response model, whose only region is the whole sphere).
     """
 
     max_trace_err: float
@@ -275,9 +277,11 @@ class VerificationReport:
         return {**dict(zip(RESIDUALS, self._values())), "n_directions": self.n_directions}
 
     def worst(self) -> dict:
-        """The name of the largest residual (the first NaN one, if any) and
-        ``worst_face``."""
-        return {"residual": RESIDUALS[int(np.argmax(self._values()))], "face": self.worst_face}
+        """The name of the largest residual (the first NaN one, if any), None
+        when every residual is at most NOISE_FLOOR, and ``worst_face``."""
+        name = RESIDUALS[int(np.argmax(self._values()))]
+        return {"residual": None if self.max_residual <= NOISE_FLOOR else name,
+                "face": self.worst_face}
 
 
 def verify_model(model: FiniteLhsModel, state: TState,
@@ -324,7 +328,7 @@ def verify_model(model: FiniteLhsModel, state: TState,
         products = terms[0]
         products += terms[1]
         products += terms[2]                       # (4, n): x . a, then x M
-        worst_face = int(np.argmax(per_region))
+        worst_face = None if per_region.max() <= NOISE_FLOOR else int(np.argmax(per_region))
     else:
         products = coeffs[0].T @ xT
         worst_face = None
@@ -379,6 +383,14 @@ def model_to_json(model: FiniteLhsModel) -> str:
     return serialize.dumps(model_to_dict(model))
 
 
+def _numbers(value, what: str) -> None:
+    """Raise TypeError unless ``value`` or each item of a list ``value`` is a
+    number, not a bool, a string or a null that ``float`` reads as one."""
+    for x in value if isinstance(value, list) else [value]:
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise TypeError(f"{what}: expected a number, got {type(x).__name__}")
+
+
 def _entry(i: int, atom: dict, key: str) -> np.ndarray:
     """Field ``key`` of atom ``i`` as a float array: a number for ``q``, a
     3-vector otherwise.  A bad entry is named by its atom and key."""
@@ -389,6 +401,7 @@ def _entry(i: int, atom: dict, key: str) -> np.ndarray:
     shape = () if key == "q" else (3,)
     if value.shape != shape:
         raise ValueError(f"atom {i} {key} must have shape {shape}, got {value.shape}")
+    _numbers(atom[key], f"atom {i} {key}")
     return value
 
 
@@ -400,6 +413,8 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
     A sign mixture's ``eta`` entries are checked and dropped.
     """
     try:
+        for key in ("t0", "t", "scale"):
+            _numbers(doc[key], key)
         target = DiagMat3.from_array(doc["t0"])
         visibility = float(doc["t"])
         kind = doc["response_kind"]
@@ -407,15 +422,20 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
         atoms = list(doc["atoms"])
         if not atoms:
             raise ValueError("model needs at least one atom")
+        if kind == "sign_mixture" and len(atoms) > MAX_MIXTURE_VERTICES:
+            raise ValueError(f"a sign mixture has one atom per polyhedron vertex, at most "
+                             f"{MAX_MIXTURE_VERTICES}; got {len(atoms)}")
         q, blochs, preimages = (np.array([_entry(i, a, key) for i, a in enumerate(atoms)])
                                 for key in ("q", "lambda", "lambda_prime"))
         etas = [_entry(i, a, "eta") for i, a in enumerate(atoms) if "eta" in a]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     if kind == "sign_mixture":
-        poly = polyhedron_from_vertices(as_unit_rows(preimages, "atom preimage"), kind="custom")
+        poly = polyhedron_from_vertices(as_unit_rows(preimages, "atom preimage"))
         response: SignMixture | LinearResponse = SignMixture(poly, scale)
     elif kind == "linear":
+        if scale != 1.0:
+            raise ValueError(f"a linear response has scale 1, got {scale!r}")
         response = LinearResponse()
     else:
         raise ValueError(f"unknown response_kind {kind!r}")

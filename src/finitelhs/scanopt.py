@@ -36,9 +36,8 @@ from .boundary import (
     sample_axial_family,
 )
 from .geometry import (
-    ICOSAHEDRON_INRADIUS,
-    ICOSAHEDRON_SIGN_SUM,
     ICOSAHEDRON_VERTICES,
+    SOLID_CONSTANTS,
     Rotation,
     quaternion_matrices,
     special_vertices,
@@ -54,7 +53,7 @@ _BETA_PLUS = 2.5 + np.sqrt(5.0)
 _BETA_MINUS = 2.5 - np.sqrt(5.0)
 
 # visibility = S * this factor, for any orientation
-VISIBILITY_PER_S = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / 12.0
+VISIBILITY_PER_S = SOLID_CONSTANTS["icosahedron"].numerator / 12.0
 
 
 def analytic_norm_constants(t0x, t0z) -> tuple:
@@ -104,7 +103,7 @@ def random_orientation_search(target: DiagMat3, n_rotations: int,
     rotated = m[..., 0] * v[..., 0] + m[..., 1] * v[..., 1] + m[..., 2] * v[..., 2]
     _, sums = mapped_norms(rotated, target.as_array())
     best = int(np.argmin(sums))
-    visibility = ICOSAHEDRON_SIGN_SUM * ICOSAHEDRON_INRADIUS / float(sums[best])
+    visibility = SOLID_CONSTANTS["icosahedron"].numerator / float(sums[best])
     return visibility, Rotation(quats[best])
 
 

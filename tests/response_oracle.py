@@ -16,6 +16,7 @@ import numpy as np
 
 from finitelhs.geometry import Polyhedron, decompose_directions, vertex_signs
 from finitelhs.lhsmodel import (
+    NOISE_FLOOR,
     FiniteLhsModel,
     SignMixture,
     VerificationReport,
@@ -67,7 +68,7 @@ def row_verify_model(model: FiniteLhsModel, state: TState,
     if isinstance(model.response, SignMixture):
         hit = row_exit_faces(model.response.polyhedron, x)
         products = np.einsum("ni,nij->nj", x, coeffs[hit])
-        worst_face = int(np.argmax(per_region))
+        worst_face = None if per_region.max() <= NOISE_FLOOR else int(np.argmax(per_region))
     else:
         products = x @ coeffs[0]
         worst_face = None

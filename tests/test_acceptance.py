@@ -28,7 +28,6 @@ from finitelhs.geometry import (
     decompose_directions,
     icosahedron,
     random_rotation,
-    sign_sum_constant,
     special_orientations,
     tetrahedron,
 )
@@ -38,6 +37,8 @@ from finitelhs.lhsmodel import (
     entropy_bits,
     verify_model,
 )
+
+from sign_sum_oracle import sign_sum_constant
 from finitelhs.qstate import DiagMat3, TState, concurrence_axial
 from finitelhs.scanopt import (
     analytic_norm_constants,

@@ -1,18 +1,37 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finitelhs
 from finitelhs import geometry, serialize
 from finitelhs.boundary import norm_integral, sample_axial_family
 from finitelhs.cli import main
-from finitelhs.geometry import ICOSAHEDRON_INRADIUS, ICOSAHEDRON_SIGN_SUM
-from finitelhs.lhsmodel import model_from_json, verify_model
+from finitelhs.geometry import (
+    ICOSAHEDRON_INRADIUS,
+    ICOSAHEDRON_SIGN_SUM,
+    cube,
+    icosahedron,
+    random_rotation,
+)
+from finitelhs.lhsmodel import (
+    MAX_MIXTURE_VERTICES,
+    build_polyhedron_model,
+    build_separable_tetrahedron_model,
+    model_from_json,
+    model_to_dict,
+    verify_model,
+)
+from finitelhs.qstate import DiagMat3
 
 from sphere_quadrature import fibonacci_sphere
 
@@ -37,8 +56,7 @@ def test_model_icosa_werner_report(capsys):
     assert doc["residuals"]["max_trace_err"] < 1e-10
     assert doc["residuals"]["n_directions"] == 1024
     assert doc["residuals"]["certificate_err"] <= 1e-15
-    assert doc["worst"]["residual"] in doc["residuals"]
-    assert 0 <= doc["worst"]["face"] < 20
+    assert doc["worst"] == {"residual": None, "face": None}
     assert list(doc) == ["t_max", "t", "entropy_bits", "residuals", "worst", "config"]
     assert doc["config"]["orientation"] == "vertex"
     assert doc["config"]["direction_seed"] == 0
@@ -64,7 +82,7 @@ def test_model_icosa_writes_model_file(capsys, tmp_path):
     assert vdoc["t"] == pytest.approx(doc["t"], abs=0)
     assert vdoc["residuals"]["max_bloch_err"] < 1e-10
     assert vdoc["residuals"]["certificate_err"] <= 1e-15
-    assert 0 <= vdoc["worst"]["face"] < 20
+    assert vdoc["worst"] == {"residual": None, "face": None}
 
 
 def test_model_icosa_submaximal_visibility(capsys):
@@ -324,7 +342,10 @@ def test_optimize_nonaxial(capsys):
     assert code == 0
     doc = serialize.loads(out)
     assert doc["axial"] is False
-    assert doc["analytic_best"] > 0
+    # the best special orientation's t_max, from the same table numerator
+    target = DiagMat3(-0.5, -0.4, -0.3)
+    assert doc["analytic_best"] == max(build_polyhedron_model(target, icosahedron(rot)).visibility
+                                       for rot in geometry.special_orientations())
 
 
 def test_optimize_builds_no_polyhedron(capsys, monkeypatch):
@@ -387,6 +408,8 @@ def test_verify_flags_inconsistent_model(capsys, tmp_path):
     vdoc = serialize.loads(out)
     assert vdoc["residuals"]["max_bloch_err"] == pytest.approx(
         0.25 * (WERNER_T_MAX - 0.5), abs=1e-9)
+    assert vdoc["worst"]["residual"] == "certificate_err"
+    assert 0 <= vdoc["worst"]["face"] < 20
 
 
 def test_model_unphysical_max_visibility_exits_2(capsys):
@@ -501,6 +524,125 @@ def test_verify_huge_integer_exit_2(capsys, tmp_path, edit, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_verify_bounds_a_sign_mixture_vertex_count(capsys, tmp_path, monkeypatch):
+    """A sign mixture of more than MAX_MIXTURE_VERTICES atoms exits 2 with
+    one line naming the count and the bound, before any hull is built."""
+    path = tmp_path / "m.json"
+    code, _, _ = run(capsys, ["model", "icosa", *WERNER_ARGS, "--out", str(path)])
+    assert code == 0
+    doc = serialize.loads(path.read_text())
+    doc["atoms"] = (doc["atoms"] * 3)[:34]
+    path.write_text(serialize.dumps(doc))
+
+    def no_hull(v):
+        raise AssertionError("the hull was built")
+
+    monkeypatch.setattr(geometry, "_hull", no_hull)
+    code, out, err = run(capsys, ["verify", "--model", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "got 34" in err and f"{MAX_MIXTURE_VERTICES}" in err
+    assert len(err.splitlines()) == 1
+
+
+def _base_docs() -> list[dict]:
+    """Model documents as ``model --out`` writes them: a rotated
+    icosahedron, a rotated cube and the tetrahedron's linear response."""
+    target = DiagMat3(-0.5, -0.4, -0.3)
+    rot = random_rotation(np.random.default_rng(3))
+    models = [build_polyhedron_model(target, icosahedron(rot)),
+              build_polyhedron_model(target, cube(rot)),
+              build_separable_tetrahedron_model(DiagMat3(-0.25, 0.35, -0.4))]
+    return [serialize.loads(serialize.dumps(model_to_dict(m))) for m in models]
+
+
+BASE_DOCS = _base_docs()
+REQUIRED = ("t0", "t", "response_kind", "scale", "atoms")
+WRONG_TYPES = ("x", "0.5", "nan", None, True, False, {}, [], [0.5], [[0.5]], {"q": 0.5})
+NOT_NUMBERS = (NAN, INF, -INF, 10**400, -10**400)
+
+
+def _paths(doc: dict) -> tuple[list, list]:
+    """(every required key, every number) of a model document, as paths."""
+    keys = [(k,) for k in REQUIRED]
+    numbers = [("t",), ("scale",), *[("t0", k) for k in range(3)]]
+    for i, atom in enumerate(doc["atoms"]):
+        keys += [("atoms", i)] + [("atoms", i, key) for key in atom]
+        numbers += [("atoms", i, "q")] + [("atoms", i, key, k) for key in atom if key != "q"
+                                          for k in range(3)]
+    return keys, numbers
+
+
+def _mutate(doc: dict, data) -> dict:
+    """One malformed edit of ``doc``: a required key deleted, a value of
+    the wrong type, a number made NaN, infinite or a 400-digit integer,
+    atoms dropped, or atoms added past MAX_MIXTURE_VERTICES."""
+    keys, numbers = _paths(doc)
+    how = data.draw(st.sampled_from(["delete", "swap", "number", "drop", "grow"]))
+    if how in ("drop", "grow"):
+        atoms = doc["atoms"]
+        if how == "drop":
+            keep = data.draw(st.lists(st.sampled_from(range(len(atoms))), unique=True,
+                                      max_size=len(atoms) - 1))
+            return {**doc, "atoms": [atoms[i] for i in sorted(keep)]}
+        n = data.draw(st.integers(MAX_MIXTURE_VERTICES + 1, MAX_MIXTURE_VERTICES + 8))
+        return {**doc, "atoms": [atoms[i % len(atoms)] for i in range(n)]}
+    path = data.draw(st.sampled_from(numbers if how == "number" else keys))
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if how == "delete":
+        del node[last]
+    else:
+        node[last] = data.draw(st.sampled_from(NOT_NUMBERS if how == "number" else WRONG_TYPES))
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(range(len(BASE_DOCS))), st.booleans(), st.data())
+def test_verify_fuzzed_model_files(tmp_path, base, mutate, data):
+    """``verify`` on a mutated model document exits 2 with one line, never
+    1 and never with a traceback or a warning; the document as written
+    verifies, exit 0."""
+    doc = _mutate(BASE_DOCS[base], data) if mutate else BASE_DOCS[base]
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["verify", "--model", str(path), "--directions", "16"])
+    if not mutate:
+        assert code == 0
+        return
+    assert code == 2, out.getvalue()
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize("base,edit,message", [
+    (0, lambda d: {**d, "t": "0.5"}, "malformed model document: t: expected a number, got str"),
+    (0, lambda d: {**d, "t": True}, "t: expected a number, got bool"),
+    (0, lambda d: {**d, "scale": False}, "scale: expected a number, got bool"),
+    (0, lambda d: {**d, "t0": ["-0.5", -0.4, -0.3]}, "t0: expected a number, got str"),
+    (0, lambda d: _first_atom(d, q=str(d["atoms"][0]["q"])), "atom 0 q: expected a number, got str"),
+    (2, lambda d: {**d, "scale": NAN}, "a linear response has scale 1, got nan"),
+], ids=["string-t", "bool-t", "bool-scale", "string-t0", "string-q", "linear-nan-scale"])
+def test_verify_fuzz_finds_exit_2(capsys, tmp_path, base, edit, message):
+    """Documents the fuzz found: a number written as a string or a bool
+    was read as that number (the first three exited 1, the next two 0),
+    and a linear response's scale was never read (exit 0)."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(edit(BASE_DOCS[base])))
+    code, out, err = run(capsys, ["verify", "--model", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.filterwarnings("error")

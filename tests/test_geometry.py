@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from finitelhs.geometry import (
     GOLDEN_RATIO,
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
+    SOLID_CONSTANTS,
     Polyhedron,
     Rotation,
     cube,
@@ -24,7 +26,6 @@ from finitelhs.geometry import (
     quaternion_matrices,
     random_rotation,
     rotation_to_z,
-    sign_sum_constant,
     special_orientations,
     tetrahedron,
 )
@@ -41,6 +42,7 @@ from conftest import random_unit_vectors, tie_directions
 from convex_hull_oracle import PLANE_TOL, hull_facets
 from decompose_oracle import all_faces_decompose, checked_exit_faces, row_exit_faces
 from response_oracle import convex_decompose, row_verify_model
+from sign_sum_oracle import sign_sum_constant
 from sphere_quadrature import fibonacci_sphere
 
 
@@ -119,6 +121,34 @@ def test_sign_sum_rejects_inconsistent_vertex_set():
     poly = polyhedron_from_vertices(mixed)
     with pytest.raises(ValueError):
         sign_sum_constant(poly)
+
+
+@pytest.mark.parametrize("name", sorted(SOLID_CONSTANTS))
+def test_solid_constants_match_the_sign_sum_oracle_and_the_hull(name):
+    """At 500 Haar-random orientations the measured c is within 4 ulps of
+    the table's and the hull's inradius within 1e-15 of the table's l.
+    The oracle's own rounding moves c by 0, 1 or 3 ulps (2.7e-15 on an
+    icosahedron, at about one orientation in seven)."""
+    c, inradius = SOLID_CONSTANTS[name]
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        v = geometry._rotated(geometry._SOLID_VERTICES[name], random_rotation(rng))
+        hull = polyhedron_from_vertices(v)
+        assert abs(sign_sum_constant(hull, tol=1e-12) - c) <= 4 * np.spacing(c)
+        assert abs(hull.inradius - inradius) <= 1e-15
+
+
+def test_solid_constants_are_the_correctly_rounded_closed_forms():
+    """Each c and l is its closed form in 40 digits, rounded once, as a
+    Python float."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        root5, third = Decimal(5).sqrt(), Decimal(1) / Decimal(3)
+        exact = {"icosahedron": (2 * (1 + root5), ((5 + 2 * root5) / 15).sqrt()),
+                 "cube": (4, third.sqrt()), "octahedron": (2, third.sqrt()),
+                 "tetrahedron": (2, third)}
+    assert {name: (float(c), float(l)) for name, (c, l) in exact.items()} == dict(SOLID_CONSTANTS)
+    assert all(type(v) is float for row in SOLID_CONSTANTS.values() for v in row)
 
 
 def test_convex_decompose_face_center():
@@ -339,17 +369,19 @@ def test_first_max_matches_argmax(n_faces, n_cols, seed, with_nan):
 @example(cube, (1.0, 0.0, 0.0, 0.0))
 @example(octahedron, (1.0, 0.0, 0.0, 0.0))
 def test_rotated_solids_match_their_hull(solid, quat):
-    """A built-in solid at any orientation is bit for bit the hull of its
-    rotated vertices: the same vertices, faces and inradius."""
+    """A built-in solid at any orientation has the vertices and faces of
+    the hull of its rotated vertices, bit for bit, and the exact inradius
+    of SOLID_CONSTANTS, within 1e-15 of the hull's."""
     assume(np.linalg.norm(quat) > 0.1)
     p = solid(Rotation.from_quat(quat))
-    hull = polyhedron_from_vertices(p.vertices, kind=p.kind)
+    hull = polyhedron_from_vertices(p.vertices)
     assert np.array_equal(p.vertices, hull.vertices)
     assert np.array_equal(p.faces, hull.faces)
-    assert p.inradius == hull.inradius
+    assert p.inradius == SOLID_CONSTANTS[p.kind].inradius
+    assert abs(hull.inradius - p.inradius) <= 1e-15
     unrotated = solid()
     assert np.array_equal(unrotated.faces, p.faces)
-    assert unrotated.inradius == polyhedron_from_vertices(unrotated.vertices).inradius
+    assert unrotated.inradius == p.inradius
 
 
 def test_exit_faces_check_coordinates_on_split_facets_only(monkeypatch, rng):
