@@ -1,12 +1,13 @@
 """Rotations, unit-sphere polyhedra, and convex vertex decompositions.
 
-The built-in solids are constants: each has one read-only canonical vertex
-array, one cached hull for its faces, since a rotation cannot change them,
-and one row of ``SOLID_CONSTANTS``, the exact sign-sum constant c and
-inradius l in closed form.  A rotated solid is its rotated vertices, those
-faces and that inradius; no hull is built for it.  A hull is built for
-every vertex set given to ``polyhedron_from_vertices``, such as a loaded
-model's.  The special orientations and their rotated icosahedron vertices
+Every polyhedron is a built-in solid, and the solids are constants: each
+has one read-only canonical vertex array, one cached hull for its faces,
+since a rotation cannot change them, and one row of ``SOLID_CONSTANTS``,
+the exact sign-sum constant c and inradius l in closed form.  A rotated
+solid is its rotated vertices, those faces and that inradius; no hull is
+built for it.  ``polyhedron_from_vertices`` matches a vertex set, such as
+a loaded model's, to a solid by its Gram matrix, and builds no hull
+either.  The special orientations and their rotated icosahedron vertices
 are read from the canonical array too.
 
 ``exit_faces`` finds the face cone of each direction face-major, on the
@@ -22,7 +23,8 @@ of ``decompose_directions``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
+from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -138,7 +140,8 @@ class Polyhedron:
     """A convex polyhedron with unit vertices and triangulated faces.
 
     ``faces`` holds vertex-index triples; ``inradius`` is the distance from
-    the origin to the nearest face plane.  The face frame is not checked
+    the origin to the nearest face plane; ``kind`` names the built-in solid,
+    its key in ``SOLID_CONSTANTS``.  The face frame is not checked
     when the polyhedron is made: ``exit_faces`` checks it on first use
     (``_partners``), once per polyhedron.
     """
@@ -213,40 +216,9 @@ class Polyhedron:
         return bool(np.all(dists.min(axis=1) <= 1e-9))
 
 
-def _cross(e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Row-wise e x f of (m, 3) arrays, the arithmetic of np.cross at a
-    fraction of its call overhead."""
-    ee, ff = np.concatenate((e, e), axis=1), np.concatenate((f, f), axis=1)
-    return ee[:, 1:4] * ff[:, 2:5] - ee[:, 2:5] * ff[:, 1:4]
-
-
-@lru_cache(maxsize=32)
-def _triples(n: int) -> np.ndarray:
-    """All index triples i < j < k below n, in lexicographic order (read-only)."""
-    r = np.arange(n)
-    t = np.stack(np.nonzero((r[:, None, None] < r[None, :, None])
-                            & (r[None, :, None] < r[None, None, :])), axis=1)
-    t.setflags(write=False)
-    return t
-
-
-def polyhedron_from_vertices(vertices) -> Polyhedron:
-    """The convex hull of unit vectors, triangulated into 2n - 4 outward
-    (counter-clockwise seen from outside) faces.
-
-    On the sphere every distinct point is a vertex of the hull, and a triple
-    spans a facet exactly when no other point lies beyond its plane.  A
-    facet with m > 3 vertices (a cube's square) is split into the m - 2
-    triangles of a fan from its lowest-index vertex.  Raises ValueError for
-    duplicated points or when the origin is not strictly inside the hull.
-    """
-    v = as_unit_rows(vertices, "vertices")
-    faces, inradius = _hull(v)
-    return Polyhedron(vertices=v, faces=faces, inradius=inradius, kind="custom")
-
-
 def _hull(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """(faces, inradius) of the hull of the unit rows of ``v``."""
+    """(faces, inradius) of the hull of the unit rows of ``v``, built once
+    per built-in solid by ``_solid_faces``."""
     n = len(v)
     if n < 4:
         raise ValueError(f"need at least 4 vertices, got {n}")
@@ -255,9 +227,9 @@ def _hull(v: np.ndarray) -> tuple[np.ndarray, float]:
     if dots.max() >= 1.0 - HULL_TOL:
         raise ValueError("vertices must be in convex position: a vertex is duplicated")
 
-    triples = _triples(n)
+    triples = np.array(list(combinations(range(n), 3)))
     a, b, c = v[triples].transpose(1, 0, 2)        # the corners, (T, 3) each
-    normal = _cross(b - a, c - a)
+    normal = np.cross(b - a, c - a)
     scale = np.linalg.norm(normal, axis=1)
     offset = np.einsum("ti,ti->t", normal, a) / scale
     normal /= scale[:, None]
@@ -282,7 +254,7 @@ def _hull(v: np.ndarray) -> tuple[np.ndarray, float]:
         i, j, k = triples[polygon].T
         r = np.arange(n)[:, None]
         lowest = ~(on_plane[:, polygon] & (r < i)).any(axis=0)
-        w = _cross(normal[polygon], v[k] - v[j])
+        w = np.cross(normal[polygon], v[k] - v[j])
         side = np.where(on_plane[:, polygon], v @ w.T - np.einsum("ti,ti->t", w, v[j]), 0.0)
         chord = (side.min(axis=0) >= -HULL_TOL) | (side.max(axis=0) <= HULL_TOL)
         keep[polygon[lowest & chord]] = True
@@ -351,6 +323,27 @@ SOLID_CONSTANTS = MappingProxyType({
 def _solid_faces(name: str) -> np.ndarray:
     """The faces of a built-in solid's canonical hull (read-only): no rotation changes them."""
     return _read_only(_hull(_SOLID_VERTICES[name])[0])
+
+
+def polyhedron_from_vertices(vertices) -> Polyhedron:
+    """The built-in solid whose vertices are the unit rows of ``vertices``,
+    in its canonical vertex order, at any orientation or its mirror image.
+
+    The row count names the one candidate (4, 6, 8 or 12 vertices), and
+    the rows match when their Gram matrix V V^T is within SIGN_TOL of the
+    canonical C C^T everywhere; then ``vertex_signs`` reads the canonical
+    sign matrix off them.  The polyhedron is the rows, the canonical faces
+    and the table's inradius, so no hull is built.  Raises ValueError for
+    any other vertex set, before forming a product when the count fits no
+    solid.
+    """
+    v = as_unit_rows(vertices, "vertices")
+    for name, c in _SOLID_VERTICES.items():
+        if len(c) == len(v) and np.abs(v @ v.T - c @ c.T).max() <= SIGN_TOL:
+            return Polyhedron(v, _solid_faces(name), SOLID_CONSTANTS[name].inradius, name)
+    counts = ", ".join(f"{name} {len(c)}" for name, c in _SOLID_VERTICES.items())
+    raise ValueError(f"{len(v)} vertices match no built-in solid in its canonical vertex "
+                     f"order ({counts} vertices)")
 
 
 def _solid(name: str, orientation: Rotation | None) -> Polyhedron:

@@ -49,8 +49,6 @@ ATOM_MAP_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 # residuals at or below this are rounding noise: a report names none of them
 NOISE_FLOOR = 1e-12
-# the hull of a loaded sign mixture's preimages costs ~n^4: 92 ms and ~50 MiB at 64
-MAX_MIXTURE_VERTICES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,9 +406,12 @@ def _entry(i: int, atom: dict, key: str) -> np.ndarray:
 def model_from_dict(doc: dict) -> FiniteLhsModel:
     """Rebuild a model from its serialized form.
 
-    Sign-mixture models carry one atom per polyhedron vertex, so the
-    response polyhedron is recovered as the hull of the atom preimages.
-    A sign mixture's ``eta`` entries are checked and dropped.
+    A sign-mixture model carries one atom per vertex of a built-in solid,
+    in its canonical vertex order, so its polyhedron is the solid whose
+    Gram matrix the atom preimages match (``polyhedron_from_vertices``),
+    with the canonical faces and the table's inradius: the polyhedron the
+    model was built on.  Any other preimages raise ValueError.  A sign
+    mixture's ``eta`` entries are checked and dropped.
     """
     try:
         for key in ("t0", "t", "scale"):
@@ -422,9 +423,6 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
         atoms = list(doc["atoms"])
         if not atoms:
             raise ValueError("model needs at least one atom")
-        if kind == "sign_mixture" and len(atoms) > MAX_MIXTURE_VERTICES:
-            raise ValueError(f"a sign mixture has one atom per polyhedron vertex, at most "
-                             f"{MAX_MIXTURE_VERTICES}; got {len(atoms)}")
         q, blochs, preimages = (np.array([_entry(i, a, key) for i, a in enumerate(atoms)])
                                 for key in ("q", "lambda", "lambda_prime"))
         etas = [_entry(i, a, "eta") for i, a in enumerate(atoms) if "eta" in a]

@@ -1,8 +1,13 @@
-"""scipy's Qhull: an oracle for the numpy hull in
-``geometry.polyhedron_from_vertices``, independent of its facet test."""
+"""scipy's Qhull: an oracle for the numpy hull ``geometry._hull``,
+independent of its facet test; and ``hull_polyhedron``, that hull as a
+polyhedron of any vertex set, for the tests that need a solid that is not
+built in."""
 
 import numpy as np
 from scipy.spatial import ConvexHull
+
+from finitelhs.geometry import Polyhedron, _hull
+from finitelhs.qstate import as_unit_rows
 
 PLANE_TOL = 1e-9
 
@@ -28,3 +33,13 @@ def hull_facets(vertices) -> list[tuple[np.ndarray, float, float]]:
         else:
             facets.append([normal, offset, area])
     return [(n, float(d), float(a)) for n, d, a in facets]
+
+
+def hull_polyhedron(vertices) -> Polyhedron:
+    """The convex hull of unit vectors, triangulated into 2n - 4 outward
+    faces, with the hull's inradius and the kind "hull".  Raises ValueError
+    for rows that are not unit 3-vectors, duplicated points, or an origin
+    not strictly inside the hull."""
+    v = as_unit_rows(vertices, "vertices")
+    faces, inradius = _hull(v)
+    return Polyhedron(vertices=v, faces=faces, inradius=inradius, kind="hull")

@@ -21,10 +21,11 @@ from finitelhs.geometry import (
     ICOSAHEDRON_SIGN_SUM,
     cube,
     icosahedron,
+    octahedron,
     random_rotation,
+    tetrahedron,
 )
 from finitelhs.lhsmodel import (
-    MAX_MIXTURE_VERTICES,
     build_polyhedron_model,
     build_separable_tetrahedron_model,
     model_from_json,
@@ -444,8 +445,9 @@ def test_verify_unphysical_visibility_exits_2(capsys, tmp_path):
 
 
 def test_verify_degenerate_preimages_exit_2(capsys, tmp_path):
-    """A sign-mixture model whose preimages span no solid around the origin
-    is a domain error (exit 2, one line), not a failed verification."""
+    """A sign-mixture model whose preimages span no solid around the origin,
+    or repeat one, is a domain error (exit 2, one line naming the count),
+    not a failed verification: it is no built-in solid."""
     angles = np.arange(6) * np.pi / 3
     circle = np.stack([np.cos(angles), np.sin(angles), np.zeros(6)], axis=1)
     coplanar = {"t0": [0.5, 0.5, 0.5], "t": 0.5, "response_kind": "sign_mixture",
@@ -458,7 +460,8 @@ def test_verify_degenerate_preimages_exit_2(capsys, tmp_path):
     atom = duplicated["atoms"][0]
     atom["q"] /= 2.0
     duplicated["atoms"].append(dict(atom))
-    for doc, reason in ((coplanar, "origin"), (duplicated, "duplicated")):
+    for doc, reason in ((coplanar, "6 vertices match no built-in solid"),
+                        (duplicated, "13 vertices match no built-in solid")):
         path.write_text(serialize.dumps(doc))
         code, out, err = run(capsys, ["verify", "--model", str(path)])
         assert code == 2
@@ -527,8 +530,8 @@ def test_verify_huge_integer_exit_2(capsys, tmp_path, edit, message):
 
 
 def test_verify_bounds_a_sign_mixture_vertex_count(capsys, tmp_path, monkeypatch):
-    """A sign mixture of more than MAX_MIXTURE_VERTICES atoms exits 2 with
-    one line naming the count and the bound, before any hull is built."""
+    """A sign mixture whose atom count is no built-in solid's exits 2 with
+    one line naming the count and the solids, and no hull is built."""
     path = tmp_path / "m.json"
     code, _, _ = run(capsys, ["model", "icosa", *WERNER_ARGS, "--out", str(path)])
     assert code == 0
@@ -543,8 +546,74 @@ def test_verify_bounds_a_sign_mixture_vertex_count(capsys, tmp_path, monkeypatch
     code, out, err = run(capsys, ["verify", "--model", str(path)])
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "got 34" in err and f"{MAX_MIXTURE_VERTICES}" in err
+    assert err.startswith("error: 34 vertices match no built-in solid")
+    assert "icosahedron 12, tetrahedron 4, cube 8, octahedron 6" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("orientation", ["vertex", "face", "random"])
+@pytest.mark.parametrize("poly", ["icosahedron", "cube", "octahedron"])
+def test_verify_reproduces_the_model_report(capsys, tmp_path, poly, orientation):
+    """``verify`` of a file written by ``model`` prints that report's
+    residuals and worst, byte for byte: the loaded model is the solid it
+    was built on, with the table's inradius, not a hull of its preimages."""
+    path = tmp_path / "m.json"
+    code, built, _ = run(capsys, ["model", "poly", "--poly", poly, "--t0", "-0.5", "-0.4", "-0.3",
+                                  "--orientation", orientation, "--seed", "9",
+                                  "--out", str(path)])
+    assert code == 0
+    code, loaded, _ = run(capsys, ["verify", "--model", str(path), "--seed", "9"])
+    assert code == 0
+    built, loaded = serialize.loads(built), serialize.loads(loaded)
+    assert serialize.dumps(loaded["residuals"]) == serialize.dumps(built["residuals"])
+    assert loaded["worst"] == built["worst"]
+
+
+def _sign_mixture_doc(preimages: np.ndarray) -> dict:
+    """A sign-mixture document on ``preimages``, with the weights and Bloch
+    vectors ``build_polyhedron_model`` would give them for one target."""
+    target = DiagMat3(-0.5, -0.4, -0.3)
+    mapped = target.apply(preimages)
+    norms = np.linalg.norm(mapped, axis=1)
+    return {"t0": list(target.as_array()), "t": 0.5, "response_kind": "sign_mixture",
+            "scale": 1.0, "atoms": [{"q": q, "lambda": list(b), "lambda_prime": list(p)}
+                                    for q, b, p in zip(norms / norms.sum(),
+                                                       mapped / norms[:, None], preimages)]}
+
+
+def _mirrored(doc: dict) -> dict:
+    """x -> -x on every atom's lambda and lambda_prime."""
+    return {**doc, "atoms": [{**a, **{key: [-a[key][0], *a[key][1:]]
+                                      for key in ("lambda", "lambda_prime")}}
+                             for a in doc["atoms"]]}
+
+
+@pytest.mark.parametrize("edit,code,message", [
+    (_mirrored, 0, None),
+    (lambda d: {**d, "atoms": d["atoms"][1:] + d["atoms"][:1]}, 2,
+     "12 vertices match no built-in solid in its canonical vertex order"),
+    (lambda d: _sign_mixture_doc(np.vstack([cube().vertices, octahedron().vertices])), 2,
+     "14 vertices match no built-in solid in its canonical vertex order"),
+    (lambda d: _sign_mixture_doc(tetrahedron().vertices), 2,
+     "unsupported polyhedron 'tetrahedron': not inversion symmetric"),
+], ids=["mirrored", "order-rotated", "cube+octahedron", "tetrahedron"])
+def test_verify_accepts_only_built_in_solids(capsys, tmp_path, edit, code, message):
+    """A sign-mixture file verifies only on a built-in solid in canonical
+    vertex order: a mirror image of a rotated model is one (exit 0); the
+    same atoms in another order, a cube and an octahedron together, or a
+    tetrahedron, which is not inversion symmetric, exit 2 with one line."""
+    path = tmp_path / "m.json"
+    assert run(capsys, ["model", "icosa", "--t0", "-0.5", "-0.4", "-0.3",
+                        "--orientation", "random", "--out", str(path)])[0] == 0
+    path.write_text(serialize.dumps(edit(serialize.loads(path.read_text()))))
+    got, out, err = run(capsys, ["verify", "--model", str(path)])
+    assert got == code
+    if message is None:
+        assert err == "" and serialize.loads(out)["worst"] == {"residual": None, "face": None}
+    else:
+        assert out == ""
+        assert err.startswith("error: " + message)
+        assert len(err.splitlines()) == 1
 
 
 def _base_docs() -> list[dict]:
@@ -560,6 +629,7 @@ def _base_docs() -> list[dict]:
 
 BASE_DOCS = _base_docs()
 REQUIRED = ("t0", "t", "response_kind", "scale", "atoms")
+SOLID_COUNTS = {len(v) for v in geometry._SOLID_VERTICES.values()}
 WRONG_TYPES = ("x", "0.5", "nan", None, True, False, {}, [], [0.5], [[0.5]], {"q": 0.5})
 NOT_NUMBERS = (NAN, INF, -INF, 10**400, -10**400)
 
@@ -578,7 +648,8 @@ def _paths(doc: dict) -> tuple[list, list]:
 def _mutate(doc: dict, data) -> dict:
     """One malformed edit of ``doc``: a required key deleted, a value of
     the wrong type, a number made NaN, infinite or a 400-digit integer,
-    atoms dropped, or atoms added past MAX_MIXTURE_VERTICES."""
+    atoms dropped, or atoms added up to a count that is no built-in
+    solid's."""
     keys, numbers = _paths(doc)
     how = data.draw(st.sampled_from(["delete", "swap", "number", "drop", "grow"]))
     if how in ("drop", "grow"):
@@ -587,7 +658,7 @@ def _mutate(doc: dict, data) -> dict:
             keep = data.draw(st.lists(st.sampled_from(range(len(atoms))), unique=True,
                                       max_size=len(atoms) - 1))
             return {**doc, "atoms": [atoms[i] for i in sorted(keep)]}
-        n = data.draw(st.integers(MAX_MIXTURE_VERTICES + 1, MAX_MIXTURE_VERTICES + 8))
+        n = data.draw(st.integers(len(atoms) + 1, 40).filter(lambda n: n not in SOLID_COUNTS))
         return {**doc, "atoms": [atoms[i % len(atoms)] for i in range(n)]}
     path = data.draw(st.sampled_from(numbers if how == "number" else keys))
     doc = json.loads(json.dumps(doc))

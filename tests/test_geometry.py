@@ -39,7 +39,7 @@ from finitelhs.lhsmodel import (
 from finitelhs.qstate import DiagMat3
 
 from conftest import random_unit_vectors, tie_directions
-from convex_hull_oracle import PLANE_TOL, hull_facets
+from convex_hull_oracle import PLANE_TOL, hull_facets, hull_polyhedron
 from decompose_oracle import all_faces_decompose, checked_exit_faces, row_exit_faces
 from response_oracle import convex_decompose, row_verify_model
 from sign_sum_oracle import sign_sum_constant
@@ -118,7 +118,7 @@ def test_sign_sum_constants():
 
 def test_sign_sum_rejects_inconsistent_vertex_set():
     mixed = np.vstack([cube().vertices, octahedron().vertices])
-    poly = polyhedron_from_vertices(mixed)
+    poly = hull_polyhedron(mixed)
     with pytest.raises(ValueError):
         sign_sum_constant(poly)
 
@@ -133,7 +133,7 @@ def test_solid_constants_match_the_sign_sum_oracle_and_the_hull(name):
     rng = np.random.default_rng(7)
     for _ in range(500):
         v = geometry._rotated(geometry._SOLID_VERTICES[name], random_rotation(rng))
-        hull = polyhedron_from_vertices(v)
+        hull = hull_polyhedron(v)
         assert abs(sign_sum_constant(hull, tol=1e-12) - c) <= 4 * np.spacing(c)
         assert abs(hull.inradius - inradius) <= 1e-15
 
@@ -276,7 +276,7 @@ def hexagonal_prism(orientation: Rotation | None = None) -> Polyhedron:
     angle = np.arange(6) * np.pi / 3
     ring = np.sqrt(0.75) * np.column_stack([np.cos(angle), np.sin(angle), np.zeros(6)])
     v = np.vstack([ring + [0.0, 0.0, 0.5], ring - [0.0, 0.0, 0.5]])
-    return polyhedron_from_vertices(v if orientation is None else orientation.apply(v))
+    return hull_polyhedron(v if orientation is None else orientation.apply(v))
 
 
 def test_partners_pair_the_pieces_of_each_facet(rng):
@@ -364,21 +364,29 @@ def test_first_max_matches_argmax(n_faces, n_cols, seed, with_nan):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([icosahedron, cube, octahedron]), st.tuples(*[st.floats(-1.0, 1.0)] * 4))
-@example(icosahedron, (1.0, 0.0, 0.0, 0.0))
-@example(cube, (1.0, 0.0, 0.0, 0.0))
-@example(octahedron, (1.0, 0.0, 0.0, 0.0))
-def test_rotated_solids_match_their_hull(solid, quat):
+@given(st.sampled_from([icosahedron, cube, octahedron]), st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       st.sampled_from([polyhedron_from_vertices, hull_polyhedron]))
+@example(icosahedron, (1.0, 0.0, 0.0, 0.0), polyhedron_from_vertices)
+@example(cube, (1.0, 0.0, 0.0, 0.0), polyhedron_from_vertices)
+@example(octahedron, (1.0, 0.0, 0.0, 0.0), polyhedron_from_vertices)
+@example(cube, (1.0, 0.0, 0.0, 0.0), hull_polyhedron)
+def test_rotated_solids_match_their_hull(solid, quat, make):
     """A built-in solid at any orientation has the vertices and faces of
-    the hull of its rotated vertices, bit for bit, and the exact inradius
-    of SOLID_CONSTANTS, within 1e-15 of the hull's."""
+    the hull of its rotated vertices (``hull_polyhedron``), bit for bit,
+    and the exact inradius of SOLID_CONSTANTS, within 1e-15 of the hull's.
+    Given the same vertices, the matcher ``polyhedron_from_vertices``
+    returns the solid: its vertices, kind, inradius and ``faces`` object."""
     assume(np.linalg.norm(quat) > 0.1)
     p = solid(Rotation.from_quat(quat))
-    hull = polyhedron_from_vertices(p.vertices)
-    assert np.array_equal(p.vertices, hull.vertices)
-    assert np.array_equal(p.faces, hull.faces)
+    made = make(p.vertices)
+    assert np.array_equal(p.vertices, made.vertices)
+    assert np.array_equal(p.faces, made.faces)
+    if make is polyhedron_from_vertices:
+        assert made.faces is p.faces
+        assert (made.kind, made.inradius) == (p.kind, p.inradius)
+    else:
+        assert abs(made.inradius - p.inradius) <= 1e-15
     assert p.inradius == SOLID_CONSTANTS[p.kind].inradius
-    assert abs(hull.inradius - p.inradius) <= 1e-15
     unrotated = solid()
     assert np.array_equal(unrotated.faces, p.faces)
     assert unrotated.inradius == p.inradius
@@ -608,33 +616,53 @@ def test_tetrahedron_frame_identity(rng):
     assert np.abs(lhs + xs / 3.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(SOLID_CONSTANTS))
+def test_polyhedron_from_vertices_matches_only_a_built_in_solid(name, rng):
+    """A rotated solid and its mirror image match; the same rows with one
+    vertex turned by 1e-9, two non-antipodal rows swapped, or one row
+    dropped do not, and the message names the row count and every solid.
+    (Every permutation of the tetrahedron's rows keeps its Gram matrix.)"""
+    v = geometry._rotated(geometry._SOLID_VERTICES[name], random_rotation(rng))
+    for rows in (v, v * [-1.0, 1.0, 1.0]):
+        assert polyhedron_from_vertices(rows).kind == name
+    turned = v.copy()
+    turned[0] += 1e-9 * np.cross(turned[0], [0.6, 0.0, 0.8])
+    turned[0] /= np.linalg.norm(turned[0])
+    swapped = v[[2, 1, 0, *range(3, len(v))]]
+    for rows in (turned, v[1:]) + ((swapped,) if name != "tetrahedron" else ()):
+        with pytest.raises(ValueError, match=f"^{len(rows)} vertices match no built-in solid "
+                                             r".*\(icosahedron 12, tetrahedron 4, cube 8, "
+                                             r"octahedron 6 vertices\)$"):
+            polyhedron_from_vertices(rows)
+
+
 def test_polyhedron_from_vertices_validation():
     with pytest.raises(ValueError, match="vertices must be unit vectors"):
-        polyhedron_from_vertices(np.array([[0.0, 0.0, 2.0], [1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+        hull_polyhedron(np.array([[0.0, 0.0, 2.0], [1, 0, 0], [0, 1, 0], [0, 0, -1]]))
     with pytest.raises(ValueError, match="need at least 4 vertices, got 3"):
-        polyhedron_from_vertices(np.eye(3))
+        hull_polyhedron(np.eye(3))
     with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
-        polyhedron_from_vertices(np.ones((4, 2)))
+        hull_polyhedron(np.ones((4, 2)))
     nan_vertex = cube().vertices.copy()
     nan_vertex[0] = np.nan
     with pytest.raises(ValueError, match="vertices must be finite"):
-        polyhedron_from_vertices(nan_vertex)
+        hull_polyhedron(nan_vertex)
     dup = np.vstack([tetrahedron().vertices, tetrahedron().vertices[:1]])
     with pytest.raises(ValueError, match="duplicated"):
-        polyhedron_from_vertices(dup)
+        hull_polyhedron(dup)
     angles = np.arange(6) * np.pi / 3
     great_circle = np.stack([np.cos(angles), np.sin(angles), np.zeros(6)], axis=1)
     with pytest.raises(ValueError, match="origin"):
-        polyhedron_from_vertices(great_circle)
+        hull_polyhedron(great_circle)
     hemisphere = np.vstack([great_circle[:3], [[0.0, 0.0, 1.0]]])
     with pytest.raises(ValueError, match="origin"):
-        polyhedron_from_vertices(hemisphere)
+        hull_polyhedron(hemisphere)
 
 
 def assert_hull_matches_oracle(v):
     """Same facet planes as Qhull, 2n - 4 outward triangles, and the
     triangles on each plane tile its facet without overlap."""
-    p = polyhedron_from_vertices(v)
+    p = hull_polyhedron(v)
     assert len(p.faces) == 2 * len(v) - 4
     corners = p.vertices[p.faces]
     cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
@@ -706,7 +734,7 @@ def test_hull_matches_qhull_on_random_points(points, symmetric):
     event("origin outside" if depth <= 1e-12 else "origin inside")
     if depth <= 1e-12:
         with pytest.raises(ValueError, match="origin"):
-            polyhedron_from_vertices(v)
+            hull_polyhedron(v)
     else:
         assert_hull_matches_oracle(v)
 

@@ -11,7 +11,6 @@ from finitelhs.geometry import (
     exit_faces,
     icosahedron,
     octahedron,
-    polyhedron_from_vertices,
     random_rotation,
     special_orientations,
     tetrahedron,
@@ -34,6 +33,7 @@ from finitelhs.lhsmodel import (
     response_maps,
     verify_model,
 )
+from finitelhs.cli import RESIDUAL_GATE
 from finitelhs.qstate import DiagMat3, TState
 
 from conftest import (
@@ -43,6 +43,8 @@ from conftest import (
     random_unit_vectors,
     tie_directions,
 )
+from certificate_oracle import exact_certificate, frame_is_exact
+from convex_hull_oracle import hull_polyhedron
 from decompose_oracle import all_faces_decompose, einsum_mapped_norms
 from qstate_oracle import Measurement
 from response_oracle import (
@@ -220,7 +222,7 @@ def test_solids_verify_at_every_orientation(maker):
 
 
 def test_generic_rejects_unsupported_polyhedron():
-    mixed = polyhedron_from_vertices(np.vstack([cube().vertices, octahedron().vertices]))
+    mixed = hull_polyhedron(np.vstack([cube().vertices, octahedron().vertices]))
     with pytest.raises(ValueError):
         build_polyhedron_model(DiagMat3(0.3, 0.3, 0.3), mixed)
 
@@ -469,7 +471,11 @@ def test_json_roundtrip_is_identical(solid, quat, seed, fraction):
     """A JSON round trip returns the same arrays, bit for bit, for the
     sign-mixture models of the three solids at random orientations,
     physical diagonals and sub-maximal visibilities, and for the
-    tetrahedron model on the diagonal scaled onto the separable boundary."""
+    tetrahedron model on the diagonal scaled onto the separable boundary.
+    The clone's verification report is the model's, bit for bit: a loaded
+    sign mixture is the solid it was built on, with the table's inradius.
+    The state is the model's own where that is physical (t <= 1 on a
+    physical diagonal always is)."""
     diag = random_physical_diag(np.random.default_rng(seed))[0]
     assume(np.abs(diag).min() > 1e-3)
     p = solid(Rotation.from_quat(quat))
@@ -481,6 +487,9 @@ def test_json_roundtrip_is_identical(solid, quat, seed, fraction):
         assert type(clone.response) is type(model.response)
         for a, b in zip(_model_arrays(model), _model_arrays(clone)):
             assert np.array_equal(a, b)
+        state = TState(model.target.scaled(min(model.visibility, 1.0)))
+        assert repr(verify_model(clone, state, fibonacci_sphere(64))) == repr(
+            verify_model(model, state, fibonacci_sphere(64)))
 
 
 def test_model_from_dict_rejects_malformed():
@@ -648,3 +657,51 @@ def test_perturbed_models_fail_certificate_and_grid(kind, what, rng):
     assert grid > 1e-5
     # the certificate bounds the grid's trace and Bloch residuals
     assert grid <= report.certificate_err + 0.5 * report.bob_marginal_err + 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron]), QUATS,
+       st.integers(0, 2**32 - 1), st.booleans())
+@example(icosahedron, (1.0, 0.0, 0.0, 0.0), 0, True)
+def test_certificate_is_within_1e15_of_the_exact_deviation(solid, quat, seed, loaded):
+    """On rotated models, built or loaded from JSON, at their largest
+    visibility up to 1, the float certificate lies within 1e-15 of the
+    true deviation of the model's arrays, computed in rationals."""
+    diag = as_diag(random_physical_diag(np.random.default_rng(seed))[0])
+    assume(not diag.is_singular)
+    poly = solid(Rotation.from_quat(quat))
+    model = build_polyhedron_model(diag, poly)
+    if model.visibility > 1.0:
+        model = build_polyhedron_model(diag, poly, visibility=1.0)
+    if loaded:
+        model = model_from_json(model_to_json(model))
+    state = model.simulated_state()
+    report = verify_model(model, state, np.array([[0.0, 0.0, 1.0]]))
+    assert abs(report.certificate_err - exact_certificate(model, state)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["icosahedron", "cube", "octahedron", "tetrahedron"])
+def test_a_weight_moved_by_1e6_fails_the_gate_exactly(kind, rng):
+    """Moving 1e-6 of weight from atom 0 to atom 1 takes the exact
+    deviation, and the float certificate with it, past the residual gate;
+    the model as built is within 1e-15 of exact."""
+    if kind == "tetrahedron":
+        model = build_separable_tetrahedron_model(DiagMat3(-0.25, 0.35, -0.4))
+    else:
+        maker = {"icosahedron": icosahedron, "cube": cube, "octahedron": octahedron}[kind]
+        model = build_polyhedron_model(DiagMat3(-0.5, -0.4, -0.3), maker(random_rotation(rng)))
+    assert exact_certificate(model, model.simulated_state()) <= 1e-15
+    bad = _perturbed(model, "q", 1e-6)
+    state = bad.simulated_state()
+    exact = exact_certificate(bad, state)
+    report = verify_model(bad, state, np.array([[0.0, 0.0, 1.0]]))
+    assert exact >= RESIDUAL_GATE and report.certificate_err >= RESIDUAL_GATE
+    assert abs(report.certificate_err - exact) <= 1e-15
+
+
+@pytest.mark.parametrize("solid", [icosahedron, cube, octahedron, tetrahedron])
+def test_canonical_frames_hold_exactly(solid):
+    """Each built-in solid's face table on its canonical vertices closes
+    into one oriented surface with every vertex on or behind every face
+    plane and the origin strictly behind it, in exact arithmetic."""
+    assert frame_is_exact(solid())
