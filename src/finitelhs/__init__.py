@@ -52,7 +52,6 @@ from .lhsmodel import (
 from .qstate import (
     DiagMat3,
     TState,
-    concurrence_axial,
 )
 from .scanopt import (
     REGIMES,
@@ -93,7 +92,6 @@ __all__ = [
     "boundary_csv",
     "build_polyhedron_model",
     "build_separable_tetrahedron_model",
-    "concurrence_axial",
     "critical_separable_density",
     "cube",
     "entropy_bits",

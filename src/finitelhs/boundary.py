@@ -64,29 +64,24 @@ def bisect(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 0.0):
         lo, hi = np.where(stop | below, mid, lo), np.where(below & ~stop, hi, mid)
 
 
-def _boundary_t0x(t0z: np.ndarray, tol: float) -> np.ndarray:
-    """The t0x > 0 with norm_integral(t0x, t0z) = 1 for each t0z in (0, 1].
+def _boundary_t0x(t0z: np.ndarray) -> np.ndarray:
+    """The t0x > 0 with |norm_integral(t0x, t0z) - 1| <= SOLVER_TOL for
+    each t0z in (0, 1].
 
     At t0z = 1 the root degenerates to 0+, and the integral at the lower
-    bracket end exceeds 1 by 1.45e-11.  That end is returned when tol
-    allows; otherwise the root is bisected between 0, where the integral
-    equals t0z, and that end.
+    bracket end exceeds 1 by 1.45e-11, within SOLVER_TOL; a row above 1
+    there has its bracket closed on that end, which ``bisect`` returns.
     """
-    if not (0.0 < tol < np.inf):
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     lo, hi = np.full(t0z.shape, BRACKET[0]), np.full(t0z.shape, BRACKET[1])
-    f_lo = norm_integral(lo, t0z) - 1.0
-    above = f_lo > 0
-    hi[above], lo[above] = lo[above], 0.0
-    root = bisect(lambda a: norm_integral(a, t0z) - 1.0, lo, hi, tol)
-    return np.where(above & (f_lo <= tol), BRACKET[0], root)
+    hi[norm_integral(lo, t0z) > 1] = BRACKET[0]
+    return bisect(lambda a: norm_integral(a, t0z) - 1.0, lo, hi, SOLVER_TOL)
 
 
-def axial_boundary_solve(t0z: float, tol: float = SOLVER_TOL) -> float:
+def axial_boundary_solve(t0z: float) -> float:
     """The t0x > 0 with norm_integral(t0x, t0z) = 1, by bisection."""
     if not (0.0 < t0z <= 1.0):
         raise ValueError(f"t0z must lie in (0, 1], got {t0z!r}")
-    return float(_boundary_t0x(np.array([t0z], dtype=float), tol)[0])
+    return float(_boundary_t0x(np.array([t0z], dtype=float))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +91,15 @@ class BoundaryCurve:
     t0z: np.ndarray
     t0x: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.t0z)
 
-
-def sample_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
-                        tol: float = SOLVER_TOL) -> BoundaryCurve:
+def sample_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN) -> BoundaryCurve:
     """Solve the boundary on a uniform t0z grid from t0z_min to 1."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if not (0.0 < t0z_min < 1.0):
         raise ValueError(f"t0z_min must lie in (0, 1), got {t0z_min!r}")
     zs = np.linspace(t0z_min, 1.0, n)
-    return BoundaryCurve(t0z=zs, t0x=_boundary_t0x(zs, tol))
+    return BoundaryCurve(t0z=zs, t0x=_boundary_t0x(zs))
 
 
 def boundary_csv(curve: BoundaryCurve) -> str:

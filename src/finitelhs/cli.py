@@ -176,7 +176,7 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_boundary(args: argparse.Namespace) -> int:
-    curve = sample_axial_family(args.n, t0z_min=args.t0z_min, tol=args.tol)
+    curve = sample_axial_family(args.n, t0z_min=args.t0z_min)
     _write_text(boundary_csv(curve), args.out)
     if args.validate:
         residuals = np.abs(norm_integral(curve.t0x, curve.t0z) - 1.0)
@@ -187,7 +187,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
             "subcommand": "boundary",
             "n": args.n,
             "t0z_min": args.t0z_min,
-            "solver_tol": args.tol,
+            "solver_tol": SOLVER_TOL,
             "integral": "carlson_rg",
         }
         if args.validate:
@@ -200,13 +200,13 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    points = scan_axial_family(args.n, t0z_min=args.t0z_min, tol=args.tol)
+    points = scan_axial_family(args.n, t0z_min=args.t0z_min)
     _write_text(scan_csv(points), args.out)
     meta = {
         "subcommand": "scan",
         "n": args.n,
         "t0z_min": args.t0z_min,
-        "solver_tol": args.tol,
+        "solver_tol": SOLVER_TOL,
         "integral": "carlson_rg",
     }
     summary_path = args.summary
@@ -275,17 +275,13 @@ def _family_doc(states: list[np.ndarray]) -> tuple[dict, float]:
 def cmd_decompose(args: argparse.Namespace) -> int:
     families = {}
     worst = 0.0
-    if args.solution in ("primary", "both"):
-        doc, w = _family_doc(product_state_decomposition())
-        families["primary"] = doc
-        worst = max(worst, w)
-    if args.solution in ("mirror", "both"):
-        doc, w = _family_doc(mirror_decomposition())
-        families["mirror"] = doc
+    for name, states in (("primary", product_state_decomposition()),
+                         ("mirror", mirror_decomposition())):
+        families[name], w = _family_doc(states)
         worst = max(worst, w)
     out = {
         "families": families,
-        "config": {"subcommand": "decompose", "solution": args.solution},
+        "config": {"subcommand": "decompose", "solution": "both"},
     }
     _write_text(serialize.dumps(out), args.out)
     if worst >= DECOMP_GATE:
@@ -359,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_boundary = sub.add_parser("boundary", help="sample the axial boundary curve")
     p_boundary.add_argument("--n", type=int, default=200)
     p_boundary.add_argument("--t0z-min", type=float, default=DEFAULT_T0Z_MIN)
-    p_boundary.add_argument("--tol", type=float, default=SOLVER_TOL)
     p_boundary.add_argument("--validate", action="store_true",
                             help="re-check the norm integral on every row; with a file "
                                  "--out, the sidecar records the largest |N - 1| and its row")
@@ -368,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan regimes, entropy, concurrence")
     p_scan.add_argument("--n", type=int, default=500)
     p_scan.add_argument("--t0z-min", type=float, default=DEFAULT_T0Z_MIN)
-    p_scan.add_argument("--tol", type=float, default=SOLVER_TOL)
     p_scan.add_argument("--out", default="-")
     p_scan.add_argument("--summary", default=None,
                         help="summary JSON path (default: <out>.summary.json)")
@@ -381,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--out", default="-")
 
     p_dec = sub.add_parser("decompose", help="critical-state product decompositions")
-    p_dec.add_argument("--solution", choices=("primary", "mirror", "both"),
-                       default="both")
     p_dec.add_argument("--out", default="-")
 
     p_ver = sub.add_parser("verify", help="re-verify a model JSON file")

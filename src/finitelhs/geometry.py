@@ -1,14 +1,13 @@
 """Rotations, unit-sphere polyhedra, and convex vertex decompositions.
 
-Every polyhedron is a built-in solid, and the solids are constants: each
-has one read-only canonical vertex array, one cached hull for its faces,
-since a rotation cannot change them, and one row of ``SOLID_CONSTANTS``,
-the exact sign-sum constant c and inradius l in closed form.  A rotated
-solid is its rotated vertices, those faces and that inradius; no hull is
-built for it.  ``polyhedron_from_vertices`` matches a vertex set, such as
-a loaded model's, to a solid by its Gram matrix, and builds no hull
-either.  The special orientations and their rotated icosahedron vertices
-are read from the canonical array too.
+Every polyhedron is one of four built-in solids, and each solid is one
+read-only row of ``SOLID_CONSTANTS``: its canonical vertices, its faces,
+and its exact sign-sum constant c and inradius l.  No rotation changes the
+faces or l, so a rotated solid is its rotated vertices and that row's
+faces and inradius; no hull is built at run time.
+``polyhedron_from_vertices`` matches a vertex set, such as a loaded
+model's, to a row by its Gram matrix.  The special orientations and their
+rotated icosahedron vertices are read from the canonical vertices too.
 
 ``exit_faces`` finds the face cone of each direction face-major, on the
 columns of x.T: the scores x.n/d of all directions are one (faces, n)
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -51,10 +49,9 @@ ICOSAHEDRON_VERTICES.flags.writeable = False
 # ~1e-17 of rounding noise where the exact dot product is 0.
 SIGN_TOL = 1e-12
 
-# A vertex within this distance of a plane through three vertices lies on it.
-# Unit vectors whose dot product reaches 1 - HULL_TOL, i.e. closer than
-# sqrt(2 HULL_TOL) ~ 1.4e-5, are one duplicated vertex: at this tolerance
-# the hull cannot tell them apart.
+# The face frame checks: a face plane must pass farther than this from the
+# origin, a vertex within this distance of a face plane lies on it, and none
+# may lie farther beyond it.
 HULL_TOL = 1e-10
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -141,8 +138,9 @@ class Polyhedron:
 
     ``faces`` holds vertex-index triples; ``inradius`` is the distance from
     the origin to the nearest face plane; ``kind`` names the built-in solid,
-    its key in ``SOLID_CONSTANTS``.  The face frame is not checked
-    when the polyhedron is made: ``exit_faces`` checks it on first use
+    its key in ``SOLID_CONSTANTS``, whose faces and inradius these are.
+    The vertices may be that solid's rotated or mirrored, so the face frame
+    is checked, not trusted: ``exit_faces`` checks it on first use
     (``_partners``), once per polyhedron.
     """
 
@@ -216,56 +214,6 @@ class Polyhedron:
         return bool(np.all(dists.min(axis=1) <= 1e-9))
 
 
-def _hull(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """(faces, inradius) of the hull of the unit rows of ``v``, built once
-    per built-in solid by ``_solid_faces``."""
-    n = len(v)
-    if n < 4:
-        raise ValueError(f"need at least 4 vertices, got {n}")
-    dots = v @ v.T
-    np.fill_diagonal(dots, -1.0)
-    if dots.max() >= 1.0 - HULL_TOL:
-        raise ValueError("vertices must be in convex position: a vertex is duplicated")
-
-    triples = np.array(list(combinations(range(n), 3)))
-    a, b, c = v[triples].transpose(1, 0, 2)        # the corners, (T, 3) each
-    normal = np.cross(b - a, c - a)
-    scale = np.linalg.norm(normal, axis=1)
-    offset = np.einsum("ti,ti->t", normal, a) / scale
-    normal /= scale[:, None]
-    height = v @ normal.T - offset                 # (n, T)
-    inside = height.max(axis=0) <= HULL_TOL
-    outside = height.min(axis=0) >= -HULL_TOL
-    facet = inside | outside
-    flip = outside & ~inside                       # the normal points inwards
-    offset[flip] *= -1.0
-    inradius = float(offset[facet].min())
-    if inradius <= HULL_TOL:
-        raise ValueError(f"the origin is not strictly inside the hull of the vertices "
-                         f"(nearest face plane at {inradius:.3e})")
-
-    # A facet with m > 3 vertices is spanned by all C(m, 3) of its triples;
-    # keep the fan from its lowest vertex i: the triples (i, j, k) whose
-    # chord jk has every vertex of the facet on one side.
-    on_plane = np.abs(height) <= HULL_TOL
-    keep = facet & (on_plane.sum(axis=0) == 3)
-    polygon = np.nonzero(facet & ~keep)[0]
-    if len(polygon):
-        i, j, k = triples[polygon].T
-        r = np.arange(n)[:, None]
-        lowest = ~(on_plane[:, polygon] & (r < i)).any(axis=0)
-        w = np.cross(normal[polygon], v[k] - v[j])
-        side = np.where(on_plane[:, polygon], v @ w.T - np.einsum("ti,ti->t", w, v[j]), 0.0)
-        chord = (side.min(axis=0) >= -HULL_TOL) | (side.max(axis=0) <= HULL_TOL)
-        keep[polygon[lowest & chord]] = True
-    outward = np.where(flip[:, None], triples[:, [0, 2, 1]], triples)
-    faces = outward[keep]
-    if len(faces) != 2 * n - 4:
-        raise ValueError(f"degenerate vertex set: {len(faces)} hull triangles for {n} "
-                         f"vertices, expected {2 * n - 4}")
-    return faces, inradius
-
-
 def _rotated(v: np.ndarray, orientation: Rotation | None) -> np.ndarray:
     """The rows of ``v`` rotated by ``orientation`` and renormalized to
     unit length; ``v`` itself when there is no orientation."""
@@ -276,30 +224,20 @@ def _rotated(v: np.ndarray, orientation: Rotation | None) -> np.ndarray:
     return v
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def _read_only(a) -> np.ndarray:
+    a = np.array(a)
     a.setflags(write=False)
     return a
 
 
-# The canonical vertices of the built-in solids (read-only).
-_SOLID_VERTICES = {
-    "icosahedron": ICOSAHEDRON_VERTICES,
-    "tetrahedron": _read_only(np.array([
-        [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0],
-    ]) / np.sqrt(3.0)),
-    "cube": _read_only(np.array([
-        (a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)
-    ]) / np.sqrt(3.0)),
-    "octahedron": _read_only(np.array([
-        [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0],
-    ])),
-}
-
-
 class SolidConstants(NamedTuple):
-    """A built-in solid's c in  sum_j sign(v_j . v_i) v_j = c v_i  and its
-    inradius l, the distance from the origin to every face plane."""
+    """A built-in solid: its canonical unit vertices, its outward faces
+    (vertex-index triples, in the order the exit-face tie rules read), its
+    c in  sum_j sign(v_j . v_i) v_j = c v_i  and its inradius l, the
+    distance from the origin to every face plane."""
 
+    vertices: np.ndarray
+    faces: np.ndarray
     sign_sum: float
     inradius: float
 
@@ -309,20 +247,32 @@ class SolidConstants(NamedTuple):
         return self.sign_sum * self.inradius
 
 
-# The one source of each built-in solid's c and l, in closed form and
+# The one source of each built-in solid, as constants: the faces are the
+# canonical hull's, which no rotation changes, and c and l are closed forms,
 # correctly rounded; a built-in solid's kind is its key here (read-only).
 SOLID_CONSTANTS = MappingProxyType({
-    "icosahedron": SolidConstants(float(ICOSAHEDRON_SIGN_SUM), float(ICOSAHEDRON_INRADIUS)),
-    "cube": SolidConstants(4.0, float(np.sqrt(3.0)) / 3.0),
-    "octahedron": SolidConstants(2.0, float(np.sqrt(3.0)) / 3.0),
-    "tetrahedron": SolidConstants(2.0, 1.0 / 3.0),
+    "icosahedron": SolidConstants(ICOSAHEDRON_VERTICES, _read_only([
+        [0, 2, 1], [0, 1, 7], [0, 6, 2], [0, 5, 6], [0, 7, 5], [1, 2, 8], [1, 3, 7],
+        [1, 8, 3], [2, 6, 4], [2, 4, 8], [3, 11, 7], [3, 8, 9], [3, 9, 11], [4, 6, 10],
+        [4, 9, 8], [4, 10, 9], [5, 10, 6], [5, 7, 11], [5, 11, 10], [9, 10, 11],
+    ]), float(ICOSAHEDRON_SIGN_SUM), float(ICOSAHEDRON_INRADIUS)),
+    "tetrahedron": SolidConstants(_read_only(np.array([
+        [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0],
+    ]) / np.sqrt(3.0)), _read_only([
+        [0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2],
+    ]), 2.0, 1.0 / 3.0),
+    "cube": SolidConstants(_read_only(np.array([
+        (a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)
+    ]) / np.sqrt(3.0)), _read_only([
+        [0, 3, 1], [0, 1, 5], [0, 2, 3], [0, 6, 2], [0, 5, 4], [0, 4, 6],
+        [1, 3, 7], [1, 7, 5], [2, 7, 3], [2, 6, 7], [4, 5, 7], [4, 7, 6],
+    ]), 4.0, float(np.sqrt(3.0)) / 3.0),
+    "octahedron": SolidConstants(_read_only([
+        [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0],
+    ]), _read_only([
+        [0, 2, 4], [0, 5, 2], [0, 4, 3], [0, 3, 5], [1, 4, 2], [1, 2, 5], [1, 3, 4], [1, 5, 3],
+    ]), 2.0, float(np.sqrt(3.0)) / 3.0),
 })
-
-
-@cache
-def _solid_faces(name: str) -> np.ndarray:
-    """The faces of a built-in solid's canonical hull (read-only): no rotation changes them."""
-    return _read_only(_hull(_SOLID_VERTICES[name])[0])
 
 
 def polyhedron_from_vertices(vertices) -> Polyhedron:
@@ -332,26 +282,25 @@ def polyhedron_from_vertices(vertices) -> Polyhedron:
     The row count names the one candidate (4, 6, 8 or 12 vertices), and
     the rows match when their Gram matrix V V^T is within SIGN_TOL of the
     canonical C C^T everywhere; then ``vertex_signs`` reads the canonical
-    sign matrix off them.  The polyhedron is the rows, the canonical faces
-    and the table's inradius, so no hull is built.  Raises ValueError for
-    any other vertex set, before forming a product when the count fits no
-    solid.
+    sign matrix off them.  The polyhedron is the rows and the solid's
+    faces and inradius.  Raises ValueError for any other vertex set,
+    before forming a product when the count fits no solid.
     """
     v = as_unit_rows(vertices, "vertices")
-    for name, c in _SOLID_VERTICES.items():
+    for name, solid in SOLID_CONSTANTS.items():
+        c = solid.vertices
         if len(c) == len(v) and np.abs(v @ v.T - c @ c.T).max() <= SIGN_TOL:
-            return Polyhedron(v, _solid_faces(name), SOLID_CONSTANTS[name].inradius, name)
-    counts = ", ".join(f"{name} {len(c)}" for name, c in _SOLID_VERTICES.items())
+            return Polyhedron(v, solid.faces, solid.inradius, name)
+    counts = ", ".join(f"{name} {len(s.vertices)}" for name, s in SOLID_CONSTANTS.items())
     raise ValueError(f"{len(v)} vertices match no built-in solid in its canonical vertex "
                      f"order ({counts} vertices)")
 
 
 def _solid(name: str, orientation: Rotation | None) -> Polyhedron:
     """A built-in solid rotated by ``orientation``: its rotated vertices,
-    the canonical faces and the exact inradius, without building a hull."""
-    return Polyhedron(vertices=_rotated(_SOLID_VERTICES[name], orientation),
-                      faces=_solid_faces(name), inradius=SOLID_CONSTANTS[name].inradius,
-                      kind=name)
+    faces and inradius."""
+    solid = SOLID_CONSTANTS[name]
+    return Polyhedron(_rotated(solid.vertices, orientation), solid.faces, solid.inradius, name)
 
 
 def icosahedron(orientation: Rotation | None = None) -> Polyhedron:

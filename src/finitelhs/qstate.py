@@ -127,24 +127,9 @@ def max_physical_visibility(corr: DiagMat3) -> float:
     return math.inf if slope <= 0.0 else (1.0 + 4.0 * PHYSICALITY_TOL) / slope
 
 
-def concurrence_axial(corr: DiagMat3, visibility: float) -> float:
-    """Concurrence of the state with correlation ``visibility * corr``.
-
-    Only valid for axially symmetric diagonals (|dx| == |dy|), where the
-    closed form ``max(0, (2 t |dx| + t |dz| - 1) / 2)`` holds for every
-    physical input.
-    """
-    if abs(abs(corr.dx) - abs(corr.dy)) > UNIT_TOL:
-        raise ValueError(
-            f"axial symmetry requires |dx| == |dy|, got ({corr.dx!r}, {corr.dy!r})"
-        )
-    if visibility < 0:
-        raise ValueError(f"visibility must be nonnegative, got {float(visibility)!r}")
-    return float(axial_concurrence(abs(corr.dx), abs(corr.dz), visibility))
-
-
 def axial_concurrence(a, z, visibility):
-    """The closed form of :func:`concurrence_axial` without its checks,
-    elementwise in the magnitudes ``a = |dx| = |dy|``, ``z = |dz|`` and the
-    visibility."""
+    """Concurrence of the state with correlation ``visibility * T0`` for an
+    axial T0, elementwise in the magnitudes ``a = |dx| = |dy|``,
+    ``z = |dz|`` and the visibility: the closed form
+    ``max(0, (2 t a + t z - 1) / 2)``, which holds for every physical input."""
     return np.maximum(0.0, (2.0 * visibility * a + visibility * z - 1.0) / 2.0)

@@ -30,7 +30,6 @@ import numpy as np
 from . import serialize
 from .boundary import (
     DEFAULT_T0Z_MIN,
-    SOLVER_TOL,
     bisect,
     norm_integral,
     sample_axial_family,
@@ -154,10 +153,9 @@ def _axial_points(t0z: np.ndarray, t0x: np.ndarray) -> AxialScan:
                      -(q * np.log2(q)).sum(axis=1), axial_concurrence(t0x, t0z, t_max))
 
 
-def scan_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN,
-                      tol: float = SOLVER_TOL) -> AxialScan:
+def scan_axial_family(n: int, t0z_min: float = DEFAULT_T0Z_MIN) -> AxialScan:
     """Solve, classify, and size the model at n points of the boundary."""
-    curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol)
+    curve = sample_axial_family(n, t0z_min=t0z_min)
     return _axial_points(curve.t0z, curve.t0x)
 
 

@@ -32,11 +32,12 @@ def _non_finite(value: float) -> ValueError:
     return ValueError(f"non-finite value cannot be serialized: {value!r}")
 
 
-def format_float(value: float, digits: int = JSON_FLOAT_DIGITS) -> str:
+def format_float(value: float) -> str:
+    """A finite number's JSON text, with JSON_FLOAT_DIGITS significant digits."""
     value = float(value)
     if not math.isfinite(value):
         raise _non_finite(value)
-    return _float_text(value, f"%.{digits}g")
+    return _float_text(value, f"%.{JSON_FLOAT_DIGITS}g")
 
 
 def _emit(obj: Any, level: int, out: list[str]) -> None:

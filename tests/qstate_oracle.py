@@ -2,7 +2,8 @@
 projective measurements, Bob's conditional states, and the explicit
 density matrix and Bell weights of a state.  The package works on the
 correlation diagonal alone; these are the per-measurement objects the
-tests check it against.
+tests check it against.  ``concurrence_axial`` is the checked scalar form
+of the package's elementwise ``qstate.axial_concurrence``.
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from finitelhs.belldecomp import BELL_BASIS, PAULIS
-from finitelhs.qstate import PHYSICALITY_TOL, TState, as_unit_vector
+from finitelhs.qstate import (
+    PHYSICALITY_TOL,
+    UNIT_TOL,
+    DiagMat3,
+    TState,
+    as_unit_vector,
+    axial_concurrence,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,3 +84,19 @@ def is_on_separable_boundary(state: TState, tol: float = 1e-9) -> bool:
     """Whether |dx| + |dy| + |dz| equals 1 within tol."""
     a = np.abs(state.corr.as_array()).sum()
     return bool(abs(a - 1.0) <= tol)
+
+
+def concurrence_axial(corr: DiagMat3, visibility: float) -> float:
+    """Concurrence of the state with correlation ``visibility * corr``.
+
+    Only valid for axially symmetric diagonals (|dx| == |dy|), where the
+    closed form ``max(0, (2 t |dx| + t |dz| - 1) / 2)`` holds for every
+    physical input.
+    """
+    if abs(abs(corr.dx) - abs(corr.dy)) > UNIT_TOL:
+        raise ValueError(
+            f"axial symmetry requires |dx| == |dy|, got ({corr.dx!r}, {corr.dy!r})"
+        )
+    if visibility < 0:
+        raise ValueError(f"visibility must be nonnegative, got {float(visibility)!r}")
+    return float(axial_concurrence(abs(corr.dx), abs(corr.dz), visibility))

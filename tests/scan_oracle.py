@@ -23,7 +23,7 @@ from finitelhs.geometry import (
     special_orientations,
 )
 from finitelhs.lhsmodel import FiniteLhsModel, build_polyhedron_model
-from finitelhs.qstate import DiagMat3, concurrence_axial
+from finitelhs.qstate import DiagMat3
 from finitelhs.scanopt import (
     REGIMES,
     VISIBILITY_PER_S,
@@ -31,6 +31,8 @@ from finitelhs.scanopt import (
     best_regime,
 )
 from finitelhs.serialize import CSV_FLOAT_DIGITS
+
+from qstate_oracle import concurrence_axial
 
 
 def max_visibility(target: DiagMat3, orientation: Rotation) -> float:

@@ -39,7 +39,7 @@ from finitelhs.lhsmodel import (
 )
 
 from sign_sum_oracle import sign_sum_constant
-from finitelhs.qstate import DiagMat3, TState, concurrence_axial
+from finitelhs.qstate import DiagMat3, TState
 from finitelhs.scanopt import (
     analytic_norm_constants,
     best_regime,
@@ -50,7 +50,7 @@ from finitelhs.scanopt import (
 )
 
 from boundary_oracle import rg_norm_integral
-from qstate_oracle import bell_weights
+from qstate_oracle import bell_weights, concurrence_axial
 from scan_oracle import max_visibility, optimal_axial_model
 from sphere_quadrature import DEFAULT_QUADRATURE, quadrature_norm_integral
 

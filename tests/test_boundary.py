@@ -4,6 +4,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finitelhs.boundary import (
+    BRACKET,
+    SOLVER_TOL,
     BoundaryCurve,
     axial_boundary_solve,
     bisect,
@@ -87,24 +89,17 @@ def test_axial_solve_small_t0z_limit():
 
 
 def test_axial_solve_t0z_one():
+    """At t0z = 1 the root degenerates to 0+; the lower bracket end, whose
+    residual 1.45e-11 is within SOLVER_TOL, is the solution."""
     t0x = axial_boundary_solve(1.0)
-    assert 0.0 < t0x < 0.5
-    assert norm_integral(t0x, 1.0) == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("tol", [1e-11, 1e-12, 1e-15, 1e-300])
-def test_axial_solve_t0z_one_below_the_bracket_residual(tol):
-    """At t0z = 1 the lower bracket end leaves |N - 1| = 1.45e-11; a
-    smaller tolerance bisects below it and still returns a positive root."""
-    t0x = axial_boundary_solve(1.0, tol=tol)
-    assert 0.0 < t0x < 1e-6
-    assert abs(norm_integral(t0x, 1.0) - 1.0) <= tol
+    assert t0x == BRACKET[0]
+    assert abs(norm_integral(t0x, 1.0) - 1.0) <= SOLVER_TOL
 
 
 def test_axial_solve_residual_meets_tolerance():
     for t0z in (0.1, 0.3, 0.8):
-        t0x = axial_boundary_solve(t0z, tol=1e-10)
-        assert abs(norm_integral(t0x, t0z) - 1.0) <= 1e-10
+        t0x = axial_boundary_solve(t0z)
+        assert abs(norm_integral(t0x, t0z) - 1.0) <= SOLVER_TOL
 
 
 def test_axial_solve_domain_errors():
@@ -112,14 +107,11 @@ def test_axial_solve_domain_errors():
         axial_boundary_solve(0.0)
     with pytest.raises(ValueError):
         axial_boundary_solve(1.2)
-    for tol in (0.0, -1e-10, np.nan, np.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            axial_boundary_solve(0.5, tol=tol)
 
 
 def test_sample_axial_family_grid_and_monotonicity():
     curve = sample_axial_family(50)
-    assert len(curve) == 50
+    assert len(curve.t0z) == 50
     assert curve.t0z[0] == pytest.approx(0.02)
     assert curve.t0z[-1] == pytest.approx(1.0)
     # the 50-point grid lands on the Werner point exactly
@@ -134,15 +126,14 @@ def test_sample_axial_family_rows_on_boundary():
     assert np.abs(norm_integral(curve.t0x, curve.t0z) - 1.0).max() < 1e-9
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-12])
-def test_grid_solve_matches_scalar_bisection(tol):
+def test_grid_solve_matches_scalar_bisection():
     """One array bisection over the grid stops each point where the
-    per-point scalar bisection stops, t0z = 1 included."""
-    curve = sample_axial_family(500, tol=tol)
+    per-point scalar bisection at SOLVER_TOL stops, t0z = 1 included."""
+    curve = sample_axial_family(500)
     assert curve.t0z[-1] == 1.0
-    scalar = [scalar_boundary_t0x(float(z), tol) for z in curve.t0z]
+    scalar = [scalar_boundary_t0x(float(z), SOLVER_TOL) for z in curve.t0z]
     assert np.array_equal(curve.t0x, scalar)
-    assert axial_boundary_solve(1.0, tol=tol) == scalar[-1]
+    assert axial_boundary_solve(1.0) == scalar[-1]
 
 
 def test_sample_axial_family_validation():
@@ -176,7 +167,7 @@ def test_custom_quadrature_orders():
 
 def test_boundary_curve_type():
     curve = BoundaryCurve(np.array([0.5]), np.array([0.5]))
-    assert len(curve) == 1
+    assert len(curve.t0z) == 1
 
 
 def test_bisect_closes_the_bracket():

@@ -263,22 +263,6 @@ def test_scan_rejects_the_removed_seed_flag(capsys):
     assert "--seed" in err
 
 
-def test_boundary_and_scan_below_the_bracket_residual(capsys, tmp_path):
-    """--tol 1e-12 is below the residual 1.45e-11 of the lower bracket end
-    at t0z = 1; the last row bisects below it to a positive t0x."""
-    code, out, err = run(capsys, ["boundary", "--n", "3", "--tol", "1e-12", "--validate"])
-    assert code == 0, err
-    t0z, t0x = out.strip().splitlines()[-1].split(",")
-    assert float(t0z) == 1.0 and 0.0 < float(t0x) < 1e-6
-    path = tmp_path / "scan.csv"
-    code, _, err = run(capsys, ["scan", "--n", "4", "--tol", "1e-12", "--out", str(path)])
-    assert code == 0, err
-    last = path.read_text().strip().splitlines()[-1].split(",")
-    assert float(last[0]) == 1.0 and 0.0 < float(last[1]) < 1e-6
-    summary = serialize.loads((tmp_path / "scan.csv.summary.json").read_text())
-    assert summary["config"]["solver_tol"] == 1e-12
-
-
 def test_boundary_usage_error(capsys):
     code, _, err = run(capsys, ["boundary", "--n", "1"])
     assert code == 2
@@ -384,9 +368,19 @@ def test_decompose_both(capsys):
 
 
 def test_decompose_single_family(capsys):
-    code, out, _ = run(capsys, ["decompose", "--solution", "mirror"])
+    """Each family is written whole beside the other, and the config says
+    both; the removed --solution option exits 2."""
+    code, out, _ = run(capsys, ["decompose"])
     assert code == 0
-    assert set(serialize.loads(out)["families"]) == {"mirror"}
+    doc = serialize.loads(out)
+    assert list(doc["families"]) == ["primary", "mirror"]
+    assert doc["config"] == {"subcommand": "decompose", "solution": "both"}
+    mirror = doc["families"]["mirror"]
+    assert list(mirror) == ["states", "schmidt_residuals", "reconstruction_residual",
+                            "alice_blochs", "bob_blochs"]
+    code, out, err = run(capsys, ["decompose", "--solution", "mirror"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --solution" in err
 
 
 def test_verify_missing_file(capsys, tmp_path):
@@ -529,20 +523,15 @@ def test_verify_huge_integer_exit_2(capsys, tmp_path, edit, message):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_verify_bounds_a_sign_mixture_vertex_count(capsys, tmp_path, monkeypatch):
+def test_verify_bounds_a_sign_mixture_vertex_count(capsys, tmp_path):
     """A sign mixture whose atom count is no built-in solid's exits 2 with
-    one line naming the count and the solids, and no hull is built."""
+    one line naming the count and the solids."""
     path = tmp_path / "m.json"
     code, _, _ = run(capsys, ["model", "icosa", *WERNER_ARGS, "--out", str(path)])
     assert code == 0
     doc = serialize.loads(path.read_text())
     doc["atoms"] = (doc["atoms"] * 3)[:34]
     path.write_text(serialize.dumps(doc))
-
-    def no_hull(v):
-        raise AssertionError("the hull was built")
-
-    monkeypatch.setattr(geometry, "_hull", no_hull)
     code, out, err = run(capsys, ["verify", "--model", str(path)])
     assert code == 2
     assert out == ""
@@ -629,7 +618,7 @@ def _base_docs() -> list[dict]:
 
 BASE_DOCS = _base_docs()
 REQUIRED = ("t0", "t", "response_kind", "scale", "atoms")
-SOLID_COUNTS = {len(v) for v in geometry._SOLID_VERTICES.values()}
+SOLID_COUNTS = {len(solid.vertices) for solid in geometry.SOLID_CONSTANTS.values()}
 WRONG_TYPES = ("x", "0.5", "nan", None, True, False, {}, [], [0.5], [[0.5]], {"q": 0.5})
 NOT_NUMBERS = (NAN, INF, -INF, 10**400, -10**400)
 
@@ -732,11 +721,12 @@ def test_model_non_finite_quaternion_exit_2(capsys, bad):
                                          ("scan", "nan")])
 def test_non_finite_tol_exit_2(capsys, command, tol):
     """--tol nan once gave t0x = 0 at t0z = 1, --tol inf t0x = 0.7500005 on
-    every row, and scan --tol nan a message full of arrays."""
+    every row, and scan --tol nan a message full of arrays.  The solver
+    tolerance is now the constant SOLVER_TOL, and argparse refuses --tol."""
     code, out, err = run(capsys, [command, "--n", "4", "--tol", tol])
     assert code == 2
     assert out == ""
-    assert err == f"error: tolerance must be positive and finite, got {tol}\n"
+    assert f"unrecognized arguments: --tol {tol}" in err
 
 
 def test_error_messages_print_plain_numbers(capsys, tmp_path):

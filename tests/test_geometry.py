@@ -39,7 +39,7 @@ from finitelhs.lhsmodel import (
 from finitelhs.qstate import DiagMat3
 
 from conftest import random_unit_vectors, tie_directions
-from convex_hull_oracle import PLANE_TOL, hull_facets, hull_polyhedron
+from convex_hull_oracle import PLANE_TOL, _hull, hull_facets, hull_polyhedron
 from decompose_oracle import all_faces_decompose, checked_exit_faces, row_exit_faces
 from response_oracle import convex_decompose, row_verify_model
 from sign_sum_oracle import sign_sum_constant
@@ -129,10 +129,11 @@ def test_solid_constants_match_the_sign_sum_oracle_and_the_hull(name):
     the table's and the hull's inradius within 1e-15 of the table's l.
     The oracle's own rounding moves c by 0, 1 or 3 ulps (2.7e-15 on an
     icosahedron, at about one orientation in seven)."""
-    c, inradius = SOLID_CONSTANTS[name]
+    solid = SOLID_CONSTANTS[name]
+    c, inradius = solid.sign_sum, solid.inradius
     rng = np.random.default_rng(7)
     for _ in range(500):
-        v = geometry._rotated(geometry._SOLID_VERTICES[name], random_rotation(rng))
+        v = geometry._rotated(solid.vertices, random_rotation(rng))
         hull = hull_polyhedron(v)
         assert abs(sign_sum_constant(hull, tol=1e-12) - c) <= 4 * np.spacing(c)
         assert abs(hull.inradius - inradius) <= 1e-15
@@ -147,8 +148,22 @@ def test_solid_constants_are_the_correctly_rounded_closed_forms():
         exact = {"icosahedron": (2 * (1 + root5), ((5 + 2 * root5) / 15).sqrt()),
                  "cube": (4, third.sqrt()), "octahedron": (2, third.sqrt()),
                  "tetrahedron": (2, third)}
-    assert {name: (float(c), float(l)) for name, (c, l) in exact.items()} == dict(SOLID_CONSTANTS)
-    assert all(type(v) is float for row in SOLID_CONSTANTS.values() for v in row)
+    table = {name: (s.sign_sum, s.inradius) for name, s in SOLID_CONSTANTS.items()}
+    assert {name: (float(c), float(l)) for name, (c, l) in exact.items()} == table
+    assert all(type(v) is float for row in table.values() for v in row)
+
+
+@pytest.mark.parametrize("name", sorted(SOLID_CONSTANTS))
+def test_solid_faces_are_the_hull_of_the_canonical_vertices(name):
+    """Each row's faces are the hull's of its canonical vertices, bit for
+    bit and in the same order, since face indices reach ``worst_face`` and
+    the exit-face tie rules; the hull's inradius is within 1e-15 of the
+    row's l.  The row's arrays are read-only."""
+    solid = SOLID_CONSTANTS[name]
+    faces, inradius = _hull(solid.vertices)
+    assert faces.dtype == solid.faces.dtype and np.array_equal(faces, solid.faces)
+    assert abs(inradius - solid.inradius) <= 1e-15
+    assert not solid.vertices.flags.writeable and not solid.faces.flags.writeable
 
 
 def test_convex_decompose_face_center():
@@ -622,7 +637,7 @@ def test_polyhedron_from_vertices_matches_only_a_built_in_solid(name, rng):
     vertex turned by 1e-9, two non-antipodal rows swapped, or one row
     dropped do not, and the message names the row count and every solid.
     (Every permutation of the tetrahedron's rows keeps its Gram matrix.)"""
-    v = geometry._rotated(geometry._SOLID_VERTICES[name], random_rotation(rng))
+    v = geometry._rotated(SOLID_CONSTANTS[name].vertices, random_rotation(rng))
     for rows in (v, v * [-1.0, 1.0, 1.0]):
         assert polyhedron_from_vertices(rows).kind == name
     turned = v.copy()

@@ -190,7 +190,8 @@ def test_visibility_is_one_formula_per_solid(maker, rng):
     c * inradius / sum_i |T0 v_i| over the model's vertices, with the exact
     constants of the solid's row in SOLID_CONSTANTS, which the scan and the
     orientation search share."""
-    c, inradius = SOLID_CONSTANTS[maker().kind]
+    solid = SOLID_CONSTANTS[maker().kind]
+    c, inradius = solid.sign_sum, solid.inradius
     for d in random_physical_diag(rng, 200):
         if np.abs(d).min() < 1e-3:
             continue

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from finitelhs.qstate import DiagMat3, TState, concurrence_axial, max_physical_visibility
+from finitelhs.qstate import DiagMat3, TState, max_physical_visibility
 
 from conftest import BELL_CORNERS, as_diag, random_axial_physical_diag, random_physical_diag, random_unit_vectors
 from qstate_oracle import (HalfState, Measurement, assemblage, bell_weights,
-                           is_on_separable_boundary, tstate_density)
+                           concurrence_axial, is_on_separable_boundary, tstate_density)
 
 WERNER = DiagMat3(-0.5, -0.5, -0.5)
 

@@ -12,11 +12,12 @@ from finitelhs.boundary import axial_boundary_solve, sample_axial_family
 from finitelhs.geometry import (
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
+    Rotation,
     icosahedron,
     random_rotation,
     special_orientations,
 )
-from finitelhs.lhsmodel import verify_model
+from finitelhs.lhsmodel import mapped_norms, verify_model
 from finitelhs.qstate import DiagMat3, TState
 from finitelhs.scanopt import (
     REGIMES,
@@ -33,7 +34,7 @@ from finitelhs.scanopt import (
     zero_entanglement_interval,
 )
 
-from conftest import as_diag, random_physical_diag, random_unit_vectors
+from conftest import BELL_CORNERS, as_diag, random_physical_diag, random_unit_vectors
 from decompose_oracle import einsum_orientation_search
 import scan_oracle
 from scan_oracle import axial_point, max_visibility, optimal_axial_model, special_vertices
@@ -140,6 +141,34 @@ def test_random_search_never_beats_special_orientations():
     assert found <= best + 1e-9
 
 
+# The 26 axes from the origin to the other points of the 3 x 3 x 3 grid.
+_GRID_AXES = np.array([p for p in np.ndindex(3, 3, 3) if p != (1, 1, 1)], dtype=float) - 1.0
+_GRID_AXES /= np.linalg.norm(_GRID_AXES, axis=1, keepdims=True)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3))
+def test_winning_special_orientation_is_a_local_optimum(bell_weights):
+    """The paper's axial claim, checked locally: for an axial target T0 at
+    the special orientation with the least  S(R) = sum_i |T0 R v_i|,  the
+    largest visibility, the so(3) gradient  sum_i u_i x (T0^2 u_i) / |T0 u_i|
+    (u_i = R v_i) vanishes to rounding, and rotating by 1e-4 about any of
+    26 axes does not lower S beyond rounding."""
+    d = (np.asarray(bell_weights) / sum(bell_weights)) @ BELL_CORNERS
+    d[:2] = 0.5 * (d[0] + d[1])         # swapping dx and dy permutes two Bell weights
+    assume(np.abs(d).min() > 1e-6)
+    eps = np.finfo(float).eps
+    candidates = special_vertices()
+    u = candidates[int(np.argmin([mapped_norms(c, d)[1] for c in candidates]))]
+    norms, base = mapped_norms(u, d)
+    gradient = (np.cross(u, u * d * d) / norms[:, None]).sum(axis=0)
+    # a rounding error e in u moves each term by up to e ||T0||^2 / |T0 u_i|
+    assert np.abs(gradient).max() <= 8 * eps * (np.max(d * d) / norms).sum()
+    for axis in _GRID_AXES:         # a unit quaternion holds half the angle
+        turn = Rotation(np.concatenate(([np.cos(5e-5)], np.sin(5e-5) * axis)))
+        assert mapped_norms(turn.apply(u), d)[1] >= base * (1.0 - 8 * eps)
+
+
 def test_random_search_validation():
     with pytest.raises(ValueError):
         random_orientation_search(WERNER, 0)
@@ -209,17 +238,16 @@ def test_scan_entropy_peaks_at_isotropic_point(pts50):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 60), st.floats(1e-3, 0.999), st.sampled_from([1e-10, 1e-12]))
-@example(50, 0.02, 1e-10)       # t0z = 0.5 on the grid: the three-way tie
-@example(50, 0.02, 1e-12)
-@example(2, 0.5, 1e-12)         # t0z = 0.5 and t0z = 1 only
-def test_scan_matches_the_pointwise_oracle(n, t0z_min, tol):
+@given(st.integers(2, 60), st.floats(1e-3, 0.999))
+@example(50, 0.02)      # t0z = 0.5 on the grid: the three-way tie
+@example(2, 0.5)        # t0z = 0.5 and t0z = 1 only
+def test_scan_matches_the_pointwise_oracle(n, t0z_min):
     """Every column at every point, bit for bit and of the same type, as
     the scalar oracle computes the rows at the solved boundary points."""
-    curve = sample_axial_family(n, t0z_min=t0z_min, tol=tol)
+    curve = sample_axial_family(n, t0z_min=t0z_min)
     rotated = special_vertices()
     expected = [axial_point(z, x, rotated) for z, x in zip(curve.t0z, curve.t0x)]
-    scan = scan_axial_family(n, t0z_min=t0z_min, tol=tol)
+    scan = scan_axial_family(n, t0z_min=t0z_min)
 
     def bits(values):
         return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]

@@ -18,8 +18,10 @@ def test_format_float_17_digits_roundtrips():
 
 
 def test_format_float_15_digits_truncates():
-    s = serialize.format_float(1 / 3, digits=15)
-    assert s == "0.333333333333333"
+    """CSV numbers take CSV_FLOAT_DIGITS = 15 digits, through the text that
+    JSON's format_float writes with 17."""
+    assert serialize.csv_text({"x": [1 / 3]}) == "x\n0.333333333333333\n"
+    assert serialize.format_float(1 / 3) == "0.33333333333333331"
 
 
 def test_format_float_writes_negative_zero_as_zero():
