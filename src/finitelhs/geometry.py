@@ -9,14 +9,15 @@ faces and inradius; no hull is built at run time.
 model's, to a row by its Gram matrix.  The special orientations and their
 rotated icosahedron vertices are read from the canonical vertices too.
 
-``exit_faces`` finds the face cone of each direction face-major, on the
-columns of x.T: the scores x.n/d of all directions are one (faces, n)
-product, and the first maximum of each column names the face, on a face
-frame checked once per polyhedron.  Only columns on a split facet get
-barycentric coordinates, and ``_exit_candidates``, which compares every
-candidate exit face of a row, runs only for rows on a facet of three or
-more pieces or on an edge or vertex of a split facet, and for every row
-of ``decompose_directions``.
+``exit_faces`` names the face cone of each direction on a checked face
+frame.  The icosahedron, cube and octahedron are the same under every
+coordinate sign flip in their canonical frame, so there it folds each
+direction into the first octant and reads its face from a table derived
+once per solid (``octant_table``).  Only directions within OCTANT_MARGIN
+of a boundary of that rule, and those of any other solid, take the exact
+rule: the face of largest x.n/d, or where the exit point misses it, the
+candidate of ``_exit_candidates``, which also serves every row of
+``decompose_directions``.
 """
 
 from __future__ import annotations
@@ -140,8 +141,10 @@ class Polyhedron:
     the origin to the nearest face plane; ``kind`` names the built-in solid,
     its key in ``SOLID_CONSTANTS``, whose faces and inradius these are.
     The vertices may be that solid's rotated or mirrored, so the face frame
-    is checked, not trusted: ``exit_faces`` checks it on first use
-    (``_partners``), once per polyhedron.
+    is checked, not trusted: every reader of it goes through
+    ``checked_frame``, which checks it on first use, once per polyhedron.
+    Where the vertices are the canonical ones turned (``_canonical_turn``),
+    ``exit_faces`` reads the canonical frame, checked once per solid.
     """
 
     vertices: np.ndarray
@@ -150,36 +153,13 @@ class Polyhedron:
     kind: str
 
     @cached_property
-    def _face_frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(outward unit normals (F,3), plane offsets (F,), inverse corner matrices (F,3,3)).
-
-        Raises RuntimeError before inverting a corner matrix when a face
-        plane passes within HULL_TOL of the origin, where that matrix is
-        singular or nearly so.
-        """
-        corners = self.vertices[self.faces]           # (F, 3, 3)
-        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-        n = np.cross(b - a, c - a)
-        flip = np.einsum("fi,fi->f", n, a) < 0
-        n[flip] *= -1.0
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        d = np.einsum("fi,fi->f", n, a)
-        if not d.min() > HULL_TOL:
-            raise RuntimeError(f"ray-face intersection failed: a face plane passes "
-                               f"{d.min():.3e} from the origin")
-        inv = np.linalg.inv(corners.transpose(0, 2, 1))  # columns are the corners
-        return n, d, inv
-
-    @cached_property
-    def _partners(self) -> np.ndarray:
-        """The coplanar partner of each face (F,): the face itself for a
-        triangle, the other piece for a facet split in two, -1 for a facet
-        of three or more pieces.
-
-        Checks the face frame first: the faces must close into one
-        oriented surface (every directed edge once, and its reverse once),
-        every plane must pass strictly outside the origin (checked by
-        ``_face_frames``), and every vertex must lie within HULL_TOL
+    def checked_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(outward unit normals (F,3), plane offsets (F,), inverse corner
+        matrices (F,3,3)) of a checked face frame: the faces must close
+        into one oriented surface (every directed edge once, and its
+        reverse once), every plane must pass farther than HULL_TOL from the
+        origin (checked before a corner matrix, singular or nearly so
+        there, is inverted), and every vertex must lie within HULL_TOL
         behind every plane.  On such a frame the ray along x leaves
         through the face whose plane it meets first.  Raises RuntimeError
         otherwise.
@@ -191,21 +171,41 @@ class Polyhedron:
                 forward, np.sort(edges[:, 1] * n + edges[:, 0])):
             raise RuntimeError("ray-face intersection failed: the faces do not close "
                                "into one oriented surface")
-        normals, offsets, _ = self._face_frames
+        corners = self.vertices[self.faces]           # (F, 3, 3)
+        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+        normals = np.cross(b - a, c - a)
+        flip = np.einsum("fi,fi->f", normals, a) < 0
+        normals[flip] *= -1.0
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        offsets = np.einsum("fi,fi->f", normals, a)
+        if not offsets.min() > HULL_TOL:
+            raise RuntimeError(f"ray-face intersection failed: a face plane passes "
+                               f"{offsets.min():.3e} from the origin")
         height = self.vertices @ normals.T - offsets  # (n, F)
         if height.max() > HULL_TOL:
             vertex, face = np.unravel_index(np.argmax(height), height.shape)
             raise RuntimeError(f"ray-face intersection failed: vertex {vertex} lies "
                                f"{height.max():.3e} beyond the plane of face {face}")
-        # coplanar[f, g]: the corners of face g lie on the plane of face f
-        coplanar = (np.abs(height[self.faces]) <= HULL_TOL).all(axis=1).T
-        count = coplanar.sum(axis=1)
-        partner = np.where(count == 1, np.arange(len(count)), -1)
-        pair = np.flatnonzero(count == 2)
-        coplanar[pair, pair] = False
-        partner[pair] = np.argmax(coplanar[pair], axis=1)
-        partner.setflags(write=False)
-        return partner
+        inv = np.linalg.inv(corners.transpose(0, 2, 1))  # columns are the corners
+        return normals, offsets, inv
+
+    @cached_property
+    def _canonical_turn(self) -> np.ndarray | None:
+        """M^T when the vertices are the canonical C of a built-in solid
+        with an ``octant_table``, turned by an orthogonal M (a rotation,
+        or a mirror image), V = C M^T, with the canonical faces; None
+        otherwise.  M = (3/n) V^T C, since C^T C = (n/3) I; V = C M^T and
+        M^T M = I are checked to SIGN_TOL."""
+        solid = SOLID_CONSTANTS.get(self.kind)
+        if (solid is None or octant_table(self.kind) is None
+                or self.vertices.shape != solid.vertices.shape
+                or not np.array_equal(self.faces, solid.faces)):
+            return None
+        m = (3.0 / len(self.vertices)) * (self.vertices.T @ solid.vertices)
+        if (np.abs(self.vertices - solid.vertices @ m.T).max() > SIGN_TOL
+                or np.abs(m.T @ m - np.eye(3)).max() > SIGN_TOL):
+            return None
+        return m.T.copy()
 
     @cached_property
     def is_inversion_symmetric(self) -> bool:
@@ -273,6 +273,50 @@ SOLID_CONSTANTS = MappingProxyType({
         [0, 2, 4], [0, 5, 2], [0, 4, 3], [0, 3, 5], [1, 4, 2], [1, 2, 5], [1, 3, 4], [1, 5, 3],
     ]), 2.0, float(np.sqrt(3.0)) / 3.0),
 })
+
+
+# A column within this distance of a boundary of the closed-form exit
+# face (a tie of candidate scores, a coordinate plane, a diagonal plane)
+# takes the exact rule: rounding moves the closed form's inputs by ~1e-16.
+OCTANT_MARGIN = 1e-9
+
+
+@cache
+def octant_table(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """(normals, faces, diagonals), read-only: the face cones of a built-in
+    solid that is the same under every coordinate sign flip, from its
+    SOLID_CONSTANTS row; None for any other (the tetrahedron).
+
+    ``normals`` (K, 3) holds n/d of the K candidate facets, whose normals
+    lie in the closed first octant: on a = |y| the top candidate is the
+    facet of a, since a.n <= a.|n| for every facet normal n.  Key 8k + s,
+    for candidate k and s = [y0 < 0] + 2 [y1 < 0] + 4 [y2 < 0], names the
+    mirror image of candidate k in the octant of y; ``faces[:, key]`` are
+    its pieces in front of and behind its diagonal plane, whose unit
+    normal is column ``key`` of ``diagonals`` (None when none is split).
+    """
+    solid = SOLID_CONSTANTS[kind]
+    normals, offsets, _ = Polyhedron(solid.vertices, solid.faces, 1.0, kind).checked_frame
+    candidates = [f for f in range(len(normals)) if normals[f].min() >= -HULL_TOL and not (
+        np.abs(normals[:f] - normals[f]).max(axis=1, initial=0.0) <= HULL_TOL).any()]
+    faces = np.empty((2, 8 * len(candidates)), dtype=np.intp)
+    diagonals = np.zeros((3, faces.shape[1]))
+    for key in range(faces.shape[1]):
+        mirror = normals[candidates[key // 8]] * [1 - 2 * (key >> i & 1) for i in range(3)]
+        facet = np.flatnonzero(np.abs(normals - mirror).max(axis=1) <= HULL_TOL)
+        if len(facet) not in (1, 2):
+            return None
+        faces[:, key] = facet[0], facet[-1]
+        if len(facet) == 2:
+            # normal to the shared edge, the first piece's third corner in front
+            first, second = solid.faces[facet].tolist()
+            w = np.cross(*solid.vertices[list(set(first) & set(second))])
+            w *= np.sign(w @ solid.vertices[first].sum(axis=0))
+            diagonals[:, key] = w / np.linalg.norm(w)
+    if set(faces.ravel().tolist()) != set(range(len(normals))):
+        return None
+    return (_read_only(normals[candidates] / offsets[candidates, None]), _read_only(faces),
+            _read_only(diagonals) if diagonals.any() else None)
 
 
 def polyhedron_from_vertices(vertices) -> Polyhedron:
@@ -344,7 +388,7 @@ def _exit_candidates(p: Polyhedron, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     contains the exit point, is kept (the lowest face index on a tie).
     Raises RuntimeError when even that piece misses the exit point.
     """
-    normals, offsets, inv = p._face_frames
+    normals, offsets, inv = p.checked_frame
     along = x @ normals.T                          # (n, F)
     with np.errstate(divide="ignore", over="ignore"):
         s_all = offsets / along
@@ -396,74 +440,61 @@ def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     """The face whose cone contains each unit direction in the rows of
     ``x`` (already checked by ``as_unit_rows``), on any convex solid.
 
-    The face frame is checked on first use (``Polyhedron._partners``);
-    a bad one raises RuntimeError.  On a closed convex frame the face
-    plane the ray along x meets first, the one maximizing x.n/d, holds
-    the exit point, so a triangular facet needs no further test.  The
-    work runs face-major, on the columns of x.T: the scores are one
-    (F, n) product, and ``_first_max`` takes the first maximum of each
-    column, as ``np.argmax`` would.  The coplanar pieces of a split facet
-    tie on that score, and the first maximum then names the same piece
-    wherever x lies in the facet, so only columns on a split piece get
-    barycentric coordinates.  A column where one is below -1e-12 takes
-    the piece's partner when all of the partner's exceed 1e-12.  The
-    rest, on a facet of three or more pieces or on an edge or vertex of
-    the partner, take the piece ``_exit_candidates`` picks.  On an edge
-    or vertex the faces that meet there agree to rounding, so any of them
-    would do.
+    An icosahedron, cube or octahedron V = C M^T is the same under every
+    sign flip of y = M^T x, so its face is read in closed form from its
+    ``octant_table``: the top candidate on a = |y| and the sign bits of y,
+    and for a split square the side of its diagonal plane.  Its frame is
+    the canonical one turned, checked once per solid.  The columns within
+    OCTANT_MARGIN of a boundary of that rule, and all columns of any other
+    solid, take the exact rule of ``_exact_exit_faces``, which checks the
+    frame on first use (``Polyhedron.checked_frame``); a bad one raises
+    RuntimeError.
     """
-    partner = p._partners
-    normals, offsets, inv = p._face_frames
-    hit = _first_max((normals / offsets[:, None]) @ x.T)
-    cols = np.flatnonzero(partner[hit] != hit)
+    turn = p._canonical_turn
+    if turn is None:
+        return _exact_exit_faces(p, x, np.arange(len(x)))
+    normals, faces, diagonals = octant_table(p.kind)
+    y = turn @ x.T                                 # (3, n): x in the canonical frame
+    a = np.abs(y)
+    scores = normals @ a                           # (K, n)
+    flags = np.empty((3 + len(scores), len(x)), dtype=np.float32)
+    np.less(y, 0.0, out=flags[:3])
+    np.greater_equal(scores, scores.max(axis=0) - OCTANT_MARGIN, out=flags[3:])
+    # row 0 sums the key 8k + s, row 1 counts the candidates at the top:
+    # integers, exact in float32; a column with more than one has no key,
+    # and takes a clipped one until the exact rule overwrites it
+    key, count = np.array([[1, 2, 4, 0, 8, 16, 24], [0, 0, 0, 1, 1, 1, 1]],
+                          dtype=np.float32)[:, :len(flags)] @ flags
+    key = key.astype(np.intp)
+    near = (count != 1.0) | (a.min(axis=0) <= OCTANT_MARGIN)
+    if diagonals is None:
+        hit = np.take(faces[0], key, mode="clip")
+    else:
+        w = np.take(diagonals, key, axis=1, mode="clip") * y
+        side = w[0] + w[1] + w[2]
+        near |= np.abs(side) <= OCTANT_MARGIN
+        hit = np.take(faces, key + faces.shape[1] * (side < 0), mode="clip")
+    cols = np.flatnonzero(near)
     if len(cols):
-        corners = inv.reshape(-1, 9).T             # row 3i + j holds inv[:, i, j]
-        cols = cols[_below(corners, hit[cols], np.take(x, cols, axis=0).T, -1e-12)]
-        other = partner[hit[cols]]
-        inside = other >= 0
-        inside[inside] = ~_below(corners, other[inside],
-                                 np.take(x, cols[inside], axis=0).T, 1e-12)
-        hit[cols[inside]] = other[inside]
-        if not inside.all():
-            hit[cols[~inside]] = _exit_candidates(p, x[cols[~inside]])[0]
+        hit[cols] = _exact_exit_faces(p, x, cols)
     return hit
 
 
-def _first_max(scores: np.ndarray) -> np.ndarray:
-    """The row of the first maximum in each column of ``scores`` (F, n),
-    ``np.argmax(scores, axis=0)`` without its per-column cost.
-
-    One product of [0, 1, ..., F-1; 1, ..., 1] with the 0/1 matrix of the
-    column maxima gives each column's maximal row and its count of maxima
-    at once; only columns whose count is not 1 (a tie, or a NaN) go to
-    ``np.argmax``.  The sums are integers, exact in float32 for fewer
-    than 2**24 rows.
-    """
-    top = np.empty(scores.shape, dtype=np.float32)
-    np.equal(scores, scores.max(axis=0), out=top)
-    rows = np.ones((2, len(scores)), dtype=np.float32)
-    rows[0] = np.arange(len(scores))
-    index, count = rows @ top
-    hit = index.astype(np.intp)
-    tie = np.flatnonzero(count != 1.0)
-    if len(tie):
-        hit[tie] = np.argmax(scores[:, tie], axis=0)
+def _exact_exit_faces(p: Polyhedron, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The exit face of the rows ``rows`` of ``x``, by the exact rule: the
+    face whose plane the ray meets first, maximizing x.n/d, when its lowest
+    barycentric coordinate is >= 0, and otherwise the piece that
+    ``_exit_candidates`` picks.  On an edge or vertex the faces that meet
+    there agree to rounding, so any of them would do.  The scores are
+    read off the product of all of x: a one-row product rounds
+    differently, and a tie could go the other way."""
+    normals, offsets, inv = p.checked_frame
+    hit = np.argmax((x @ (normals / offsets[:, None]).T)[rows], axis=1)
+    bary = np.einsum("nij,nj->ni", inv[hit], x[rows])
+    out = np.flatnonzero(bary.min(axis=1) < 0.0)
+    if len(out):
+        hit[out] = _exit_candidates(p, x[rows[out]])[0]
     return hit
-
-
-def _below(corners: np.ndarray, faces: np.ndarray, xT: np.ndarray, bound: float) -> np.ndarray:
-    """Whether the ray along each column of ``xT`` (3, m) meets the plane of
-    its face in ``faces`` at a point whose lowest barycentric coordinate is
-    below ``bound`` (the coordinates summing to 1); ``corners`` (9, F) holds
-    the inverse corner matrices, row 3i + j for entry (i, j)."""
-    # coordinates divided by s: they sum to 1/s, the exit point being on the plane
-    bary = np.take(corners, faces, axis=1).reshape(3, 3, -1)
-    bary *= xT
-    # summed (j = 0 + j = 2) + j = 1, the order of np.einsum("nij,nj->ni"):
-    # on an edge or a vertex the face picked depends on these bits
-    bary = bary[:, 0] + bary[:, 2] + bary[:, 1]
-    low = np.minimum(np.minimum(bary[0], bary[1]), bary[2])
-    return low < bound * (bary[0] + bary[1] + bary[2])
 
 
 def special_orientations() -> tuple[Rotation, Rotation, Rotation]:

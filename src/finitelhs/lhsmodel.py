@@ -235,7 +235,7 @@ def response_maps(model: FiniteLhsModel) -> np.ndarray:
     if isinstance(model.response, SignMixture):
         poly = model.response.polyhedron
         signs = vertex_signs(poly.vertices, model.preimages)     # (vertices, atoms)
-        inv = poly._face_frames[2]
+        inv = poly.checked_frame[2]
         return (model.response.scale * poly.inradius) * (
             inv.transpose(0, 2, 1) @ signs[poly.faces])
     return model.etas.T[None]
@@ -389,18 +389,30 @@ def _numbers(value, what: str) -> None:
             raise TypeError(f"{what}: expected a number, got {type(x).__name__}")
 
 
-def _entry(i: int, atom: dict, key: str) -> np.ndarray:
-    """Field ``key`` of atom ``i`` as a float array: a number for ``q``, a
-    3-vector otherwise.  A bad entry is named by its atom and key."""
-    try:
-        value = np.asarray(atom[key], dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"atom {i} {key}: {exc}") from exc
+def _column(atoms: list[tuple[int, dict]], key: str) -> np.ndarray:
+    """Field ``key`` of the (index, atom) pairs ``atoms`` as one float
+    array, (m,) for ``q`` and (m, 3) otherwise, parsed across all atoms in
+    one pass; where that fails, one atom at a time, so that a bad entry
+    is named by its atom and key."""
     shape = () if key == "q" else (3,)
-    if value.shape != shape:
-        raise ValueError(f"atom {i} {key} must have shape {shape}, got {value.shape}")
-    _numbers(atom[key], f"atom {i} {key}")
-    return value
+    try:
+        values = [atom[key] for _, atom in atoms]
+        column = np.array(values, dtype=float)
+        numbers = values if key == "q" else [x for v in values if type(v) is list for x in v]
+        if (column.shape[1:] == shape and len(numbers) == column.size
+                and {type(x) for x in numbers} <= {int, float}):
+            return column
+    except (LookupError, TypeError, ValueError, OverflowError):
+        pass
+    for i, atom in atoms:
+        try:
+            value = np.asarray(atom[key], dtype=float)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"atom {i} {key}: {exc}") from exc
+        if value.shape != shape:
+            raise ValueError(f"atom {i} {key} must have shape {shape}, got {value.shape}")
+        _numbers(atom[key], f"atom {i} {key}")
+    return np.array([atom[key] for _, atom in atoms], dtype=float)
 
 
 def model_from_dict(doc: dict) -> FiniteLhsModel:
@@ -423,9 +435,9 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
         atoms = list(doc["atoms"])
         if not atoms:
             raise ValueError("model needs at least one atom")
-        q, blochs, preimages = (np.array([_entry(i, a, key) for i, a in enumerate(atoms)])
-                                for key in ("q", "lambda", "lambda_prime"))
-        etas = [_entry(i, a, "eta") for i, a in enumerate(atoms) if "eta" in a]
+        indexed = list(enumerate(atoms))
+        q, blochs, preimages = (_column(indexed, key) for key in ("q", "lambda", "lambda_prime"))
+        etas = _column([(i, a) for i, a in indexed if "eta" in a], "eta")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     if kind == "sign_mixture":
@@ -439,7 +451,7 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
         raise ValueError(f"unknown response_kind {kind!r}")
     return FiniteLhsModel(weights=q, blochs=blochs, preimages=preimages, response=response,
                           target=target, visibility=visibility,
-                          etas=np.array(etas) if etas else None)
+                          etas=etas if len(etas) else None)
 
 
 def model_from_json(text: str) -> FiniteLhsModel:

@@ -14,10 +14,10 @@ the regime, t_max, the weight entropy and the concurrence.  The result is
 one :class:`AxialScan`, a record of those columns, which the summary reads
 with array reductions and ``scan_csv`` writes column by column.  The weights
 come from ``lhsmodel.mapped_norms`` on the winning regime's vertices
-(``geometry.special_vertices``), as do the sums of the random orientation
-search.  What does not depend on the grid, those vertices, the two
-crossovers and the Werner reference, is computed on first use and kept for
-the life of the process.
+(``geometry.special_vertices``); the random orientation search forms the
+same sums on contiguous coordinate planes.  What does not depend on the
+grid, those vertices, the two crossovers and the Werner reference, is
+computed on first use and kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -97,10 +97,12 @@ def random_orientation_search(target: DiagMat3, n_rotations: int,
     rng = np.random.default_rng(seed)
     quats = rng.standard_normal((n_rotations, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    # R v for every matrix and vertex, (n, V, 3), summed over j by broadcasting
-    m, v = quaternion_matrices(quats)[:, None], ICOSAHEDRON_VERTICES[:, None]
-    rotated = m[..., 0] * v[..., 0] + m[..., 1] * v[..., 1] + m[..., 2] * v[..., 2]
-    _, sums = mapped_norms(rotated, target.as_array())
+    # coordinate i of T0 R v for every matrix and vertex as one contiguous
+    # (n, V) plane, with the products and sums of ``mapped_norms``
+    m, v = quaternion_matrices(quats), ICOSAHEDRON_VERTICES.T
+    a, b, c = ((m[:, i, 0, None] * v[0] + m[:, i, 1, None] * v[1] + m[:, i, 2, None] * v[2]) * d
+               for i, d in enumerate(target.as_array()))
+    sums = np.sqrt(a * a + b * b + c * c).sum(axis=1)
     best = int(np.argmin(sums))
     visibility = SOLID_CONSTANTS["icosahedron"].numerator / float(sums[best])
     return visibility, Rotation(quats[best])

@@ -5,8 +5,9 @@ output files here are compared byte-for-byte across runs, so this module
 emits JSON itself: dict insertion order is preserved verbatim and every
 float is printed with a fixed number of significant digits.  CSV is written
 column by column, each numeric column in one pass after one finiteness
-check, through the same ``_float_text`` that ``format_float`` uses: a
-number's text has one definition in either format.
+check, and a JSON list of floats in one join, through the same
+``_float_text`` that ``format_float`` uses: a number's text has one
+definition in either format.
 """
 
 from __future__ import annotations
@@ -73,10 +74,17 @@ def _emit(obj: Any, level: int, out: list[str]) -> None:
             out.append("[]")
             return
         out.append("[\n")
-        for i, val in enumerate(items):
-            out.append(pad)
-            _emit(val, level + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
+        if all(isinstance(val, float) for val in items):
+            # a list of floats in one join, after one finiteness check
+            if not all(map(math.isfinite, items)):
+                raise _non_finite(next(float(v) for v in items if not math.isfinite(v)))
+            spec = f"%.{JSON_FLOAT_DIGITS}g"
+            out.append(pad + f",\n{pad}".join([_float_text(val, spec) for val in items]) + "\n")
+        else:
+            for i, val in enumerate(items):
+                out.append(pad)
+                _emit(val, level + 1, out)
+                out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(closing + "]")
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")

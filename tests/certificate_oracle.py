@@ -78,7 +78,7 @@ def exact_certificate(model: FiniteLhsModel, state: TState) -> float:
 
 
 def frame_is_exact(poly: Polyhedron) -> bool:
-    """The frame predicate of ``Polyhedron._partners``, without tolerances:
+    """The frame predicate of ``Polyhedron.checked_frame``, without tolerances:
     every directed edge once and its reverse once, the origin strictly
     behind every face plane, and every vertex on or behind it, the signed
     volumes taken exactly."""

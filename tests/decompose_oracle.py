@@ -4,10 +4,13 @@
 on every face, for ``geometry.decompose_directions``, which computes them
 only for the candidate exit faces of each direction.
 ``checked_exit_faces`` checks the argmax face of every direction, for
-``geometry.exit_faces``, which checks only the rows on split facets.
-``row_exit_faces`` is ``exit_faces`` direction-major: a per-row
-``np.argmax`` and an (n, 3, 3) gather of the inverse corner matrices, for
-the face-major ``exit_faces``.
+``geometry.exit_faces``, which reads the face of a built-in solid in
+closed form and checks only the rows near a boundary of that form.
+``row_exit_faces`` finds the same faces direction-major: a per-row
+``np.argmax``, an (n, 3, 3) gather of the inverse corner matrices, and
+on a split facet the coplanar partner of ``partners``.
+``first_max`` is ``np.argmax(axis=0)`` through one float32 product, the
+first-maximum rule ``exit_faces`` once took its faces by.
 ``einsum_mapped_norms`` and ``einsum_orientation_search`` rotate with
 ``einsum`` and take norms with ``np.linalg.norm``, for
 ``lhsmodel.mapped_norms`` and ``scanopt.random_orientation_search``.
@@ -16,6 +19,7 @@ the face-major ``exit_faces``.
 import numpy as np
 
 from finitelhs.geometry import (
+    HULL_TOL,
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
     ICOSAHEDRON_VERTICES,
@@ -43,7 +47,7 @@ def all_faces_decompose(p: Polyhedron, directions) -> np.ndarray:
     if not p.is_inversion_symmetric:
         raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
 
-    normals, offsets, inv = p._face_frames
+    normals, offsets, inv = p.checked_frame
     along = x @ normals.T                          # (n, F)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s_all = np.where(along > 0, offsets[None, :] / along, np.inf)
@@ -71,42 +75,57 @@ def all_faces_decompose(p: Polyhedron, directions) -> np.ndarray:
 
 def checked_exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     """The face whose cone contains each unit direction in the rows of
-    ``x``: an oracle for ``geometry.exit_faces``, which checks the face
-    frame once and needs barycentric coordinates only on split facets.
+    ``x``: an oracle for ``geometry.exit_faces``, which reads most faces
+    in closed form.
 
     Takes the argmax of x.n/d over the faces and checks the barycentric
-    coordinates on that face for every row; rows where one is below
-    -1e-12 take the containing piece from ``_exit_candidates``.
+    coordinates on that face for every row; rows where one is below 0
+    take the containing piece from ``_exit_candidates``.
     """
-    normals, offsets, inv = p._face_frames
+    normals, offsets, inv = p.checked_frame
     hit = np.argmax(x @ (normals / offsets[:, None]).T, axis=1)
     # coordinates divided by s: they sum to 1/s, the exit point being on the plane
     bary = np.einsum("nij,nj->ni", inv[hit], x)
     low = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
-    outside = np.flatnonzero(low < -1e-12 * (bary[:, 0] + bary[:, 1] + bary[:, 2]))
+    outside = np.flatnonzero(low < 0.0)
     if len(outside):
         hit[outside] = _exit_candidates(p, x[outside])[0]
     return hit
 
 
+def partners(p: Polyhedron) -> np.ndarray:
+    """The coplanar partner of each face (F,) of a checked frame: the face
+    itself for a triangle, the other piece for a facet split in two, -1
+    for a facet of three or more pieces."""
+    normals, offsets, _ = p.checked_frame
+    height = p.vertices @ normals.T - offsets      # (n, F)
+    # coplanar[f, g]: the corners of face g lie on the plane of face f
+    coplanar = (np.abs(height[p.faces]) <= HULL_TOL).all(axis=1).T
+    count = coplanar.sum(axis=1)
+    partner = np.where(count == 1, np.arange(len(count)), -1)
+    pair = np.flatnonzero(count == 2)
+    coplanar[pair, pair] = False
+    partner[pair] = np.argmax(coplanar[pair], axis=1)
+    return partner
+
+
 def row_exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
-    """``geometry.exit_faces`` on the rows of ``x``: the argmax of x.n/d
-    per row, barycentric coordinates from an ``einsum`` over the gathered
-    (n, 3, 3) inverse corner matrices of the rows on a split piece, the
-    partner where all of its coordinates exceed 1e-12, and
-    ``_exit_candidates`` for the rest."""
-    partner = p._partners
-    normals, offsets, inv = p._face_frames
+    """The faces of ``checked_exit_faces`` on the rows of ``x``, another
+    way: the argmax of x.n/d per row, barycentric coordinates from an
+    ``einsum`` over the gathered (n, 3, 3) inverse corner matrices, and
+    for the rows where one is below 0 the coplanar partner (``partners``)
+    where all of its coordinates exceed 1e-12, ``_exit_candidates`` for
+    the rest."""
+    partner = partners(p)
+    normals, offsets, inv = p.checked_frame
     hit = np.argmax(x @ (normals / offsets[:, None]).T, axis=1)
-    rows = np.flatnonzero(partner[hit] != hit)
-    if len(rows):
-        rows = rows[_rows_below(inv, hit[rows], x[rows], -1e-12)]
-        other = partner[hit[rows]]
-        inside = other >= 0
-        inside[inside] = ~_rows_below(inv, other[inside], x[rows[inside]], 1e-12)
-        hit[rows[inside]] = other[inside]
-        if not inside.all():
-            hit[rows[~inside]] = _exit_candidates(p, x[rows[~inside]])[0]
+    rows = np.flatnonzero(_rows_below(inv, hit, x, 0.0))
+    other = partner[hit[rows]]
+    inside = (other >= 0) & (other != hit[rows])
+    inside[inside] = ~_rows_below(inv, other[inside], x[rows[inside]], 1e-12)
+    hit[rows[inside]] = other[inside]
+    if not inside.all():
+        hit[rows[~inside]] = _exit_candidates(p, x[rows[~inside]])[0]
     return hit
 
 
@@ -116,6 +135,28 @@ def _rows_below(inv: np.ndarray, faces: np.ndarray, x: np.ndarray, bound: float)
     bary = np.einsum("nij,nj->ni", inv[faces], x)
     low = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2])
     return low < bound * (bary[:, 0] + bary[:, 1] + bary[:, 2])
+
+
+def first_max(scores: np.ndarray) -> np.ndarray:
+    """The row of the first maximum in each column of ``scores`` (F, n),
+    ``np.argmax(scores, axis=0)`` without its per-column cost.
+
+    One product of [0, 1, ..., F-1; 1, ..., 1] with the 0/1 matrix of the
+    column maxima gives each column's maximal row and its count of maxima
+    at once; only columns whose count is not 1 (a tie, or a NaN) go to
+    ``np.argmax``.  The sums are integers, exact in float32 for fewer
+    than 2**24 rows.
+    """
+    top = np.empty(scores.shape, dtype=np.float32)
+    np.equal(scores, scores.max(axis=0), out=top)
+    rows = np.ones((2, len(scores)), dtype=np.float32)
+    rows[0] = np.arange(len(scores))
+    index, count = rows @ top
+    hit = index.astype(np.intp)
+    tie = np.flatnonzero(count != 1.0)
+    if len(tie):
+        hit[tie] = np.argmax(scores[:, tie], axis=0)
+    return hit
 
 
 def einsum_mapped_norms(vertices: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,13 @@ from finitelhs.qstate import DiagMat3
 
 from conftest import random_unit_vectors, tie_directions
 from convex_hull_oracle import PLANE_TOL, _hull, hull_facets, hull_polyhedron
-from decompose_oracle import all_faces_decompose, checked_exit_faces, row_exit_faces
+from decompose_oracle import (
+    all_faces_decompose,
+    checked_exit_faces,
+    first_max,
+    partners,
+    row_exit_faces,
+)
 from response_oracle import convex_decompose, row_verify_model
 from sign_sum_oracle import sign_sum_constant
 from sphere_quadrature import fibonacci_sphere
@@ -298,17 +304,17 @@ def test_partners_pair_the_pieces_of_each_facet(rng):
     """A triangle is its own partner, the two pieces of a square name each
     other, and the four pieces of a hexagon get -1."""
     for p in (icosahedron(random_rotation(rng)), octahedron(), tetrahedron()):
-        assert np.array_equal(p._partners, np.arange(len(p.faces)))
+        assert np.array_equal(partners(p), np.arange(len(p.faces)))
     for p in (cube(), cube(random_rotation(rng))):
-        partner = p._partners
+        partner = partners(p)
         assert np.all(partner != np.arange(12)) and np.array_equal(partner[partner], np.arange(12))
-        normals = p._face_frames[0]
+        normals = p.checked_frame[0]
         assert np.abs(normals[partner] - normals).max() <= 1e-12
     prism = hexagonal_prism()
-    hexagon = np.abs(prism._face_frames[0][:, 2]) > 0.5
-    assert hexagon.sum() == 8 and np.all(prism._partners[hexagon] == -1)
-    side = prism._partners[~hexagon]
-    assert np.all(side >= 0) and np.array_equal(prism._partners[side], np.flatnonzero(~hexagon))
+    hexagon = np.abs(prism.checked_frame[0][:, 2]) > 0.5
+    assert hexagon.sum() == 8 and np.all(partners(prism)[hexagon] == -1)
+    side = partners(prism)[~hexagon]
+    assert np.all(side >= 0) and np.array_equal(partners(prism)[side], np.flatnonzero(~hexagon))
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,11 +327,93 @@ def test_partners_pair_the_pieces_of_each_facet(rng):
 def test_exit_faces_match_the_checked_oracle(solid, quat, seed, lam):
     """Bit for bit the faces of the oracle that checks the argmax face of
     every row, on random directions and on directions that tie between
-    faces: vertices, edge points and the diagonals of split facets."""
+    faces: vertices, edge points and the diagonals of split facets, in one
+    batch and one tie at a time among random rows."""
     assume(np.linalg.norm(quat) > 0.1)
     p = solid(Rotation.from_quat(quat))
-    x = np.vstack([random_unit_vectors(np.random.default_rng(seed), 300), tie_directions(p, lam)])
+    ties = tie_directions(p, lam)
+    x = np.vstack([random_unit_vectors(np.random.default_rng(seed), 300), ties])
     assert np.array_equal(exit_faces(p, x), checked_exit_faces(p, x))
+    # one tie among random rows: a one-row product rounds differently
+    for row in ties[:: len(ties) // 7]:
+        y = np.vstack([x[:50], row])
+        assert np.array_equal(exit_faces(p, y), checked_exit_faces(p, y))
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """The row count of each call of the exact exit-face rule."""
+    calls = []
+    original = geometry._exact_exit_faces
+
+    def spy(p, x, rows):
+        calls.append(len(rows))
+        return original(p, x, rows)
+
+    monkeypatch.setattr(geometry, "_exact_exit_faces", spy)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([icosahedron, cube, octahedron]),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       st.sampled_from(["built", "loaded", "mirror image"]),
+       st.sampled_from([1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6]),
+       st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0))
+@example(icosahedron, (1.0, 0.0, 0.0, 0.0), "built", 1e-9, 0, 0.5)
+@example(cube, (1.0, 0.0, 0.0, 0.0), "mirror image", 1e-9, 0, 0.5)
+@example(octahedron, (1.0, 0.0, 0.0, 0.0), "loaded", 1e-9, 0, 0.5)
+def test_exit_faces_near_a_boundary_match_the_checked_oracle(solid, quat, make, eps, seed, lam):
+    """Bit for bit the faces of the oracle on directions that tie between
+    faces, pushed eps off their boundary along random tangents: inside
+    OCTANT_MARGIN they take the exact rule, outside it the closed form,
+    on a built solid, on the one loaded from its vertices and on a
+    mirror image of it."""
+    assume(np.linalg.norm(quat) > 0.1)
+    p = solid(Rotation.from_quat(quat))
+    if make != "built":
+        mirror = [-1.0, 1.0, 1.0] if make == "mirror image" else 1.0
+        p = polyhedron_from_vertices(p.vertices * mirror)
+    ties = tie_directions(p, lam)
+    tangent = np.random.default_rng(seed).standard_normal(ties.shape)
+    tangent -= np.einsum("ni,ni->n", tangent, ties)[:, None] * ties
+    x = ties + eps * tangent / np.linalg.norm(tangent, axis=1, keepdims=True)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    assert np.array_equal(exit_faces(p, x), checked_exit_faces(p, x))
+
+
+def test_built_in_kind_off_its_canonical_frame_takes_the_exact_rule(exact_rows, rng):
+    """Valid frames of a built-in kind that are not V = C M^T for an
+    orthogonal M on the canonical faces take the exact rule on every row:
+    a solid's vertex rows permuted, with its faces renumbered to match (it
+    keeps the solid's faces), a stretched cube (V = C M^T, M^T M != I), an
+    icosahedron whose vertices moved by ~1e-6 off V = C M^T, and a cube
+    whose squares are split along their other diagonals."""
+    x = random_unit_vectors(rng, 500)
+    for solid in (icosahedron, cube, octahedron):
+        p = solid(random_rotation(rng))
+        perm = np.roll(rng.permutation(len(p.vertices)), 1)
+        permuted = Polyhedron(p.vertices[perm], np.argsort(perm)[p.faces], p.inradius, p.kind)
+        assert np.array_equal(exit_faces(permuted, x), checked_exit_faces(p, x))
+    c, v = cube(), icosahedron(random_rotation(rng)).vertices
+    # noise with no linear part in it, so that the fitted M stays orthogonal
+    noise = 1e-6 * rng.standard_normal((12, 3))
+    moved = v + noise - v @ (v.T @ noise) / 4.0
+    # each square of a cube split along its other diagonal
+    turned = cube(random_rotation(rng))
+    split = turned.faces.copy()
+    for f, g in enumerate(partners(turned)):
+        if f < g:
+            # f = (own, a, b) and g = (other, b, a) become (own, a, other), (other, b, own)
+            (other,) = np.setdiff1d(split[g], split[f])
+            own, a, b = np.roll(split[f], -np.flatnonzero(~np.isin(split[f], split[g]))[0])
+            split[f], split[g] = (own, a, other), (other, b, own)
+    for q in (Polyhedron(c.vertices * [1.0, 1.1, 1.0], c.faces, c.inradius, "cube"),
+              Polyhedron(moved, icosahedron().faces, icosahedron().inradius, "icosahedron"),
+              Polyhedron(turned.vertices, split, turned.inradius, "cube")):
+        assert np.array_equal(exit_faces(q, x), checked_exit_faces(q, x))
+    assert exact_rows == [500] * 6
 
 
 def sign_mixture_model(p: Polyhedron, target: DiagMat3) -> FiniteLhsModel:
@@ -375,7 +463,7 @@ def test_first_max_matches_argmax(n_faces, n_cols, seed, with_nan):
     scores[:, rng.random(n_cols) < 0.2] = 0.5
     if with_nan:
         scores[rng.random(shape) < 0.02] = np.nan
-    assert np.array_equal(geometry._first_max(scores), np.argmax(scores, axis=0))
+    assert np.array_equal(first_max(scores), np.argmax(scores, axis=0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,25 +495,18 @@ def test_rotated_solids_match_their_hull(solid, quat, make):
     assert unrotated.inradius == p.inradius
 
 
-def test_exit_faces_check_coordinates_on_split_facets_only(monkeypatch, rng):
-    """No barycentric coordinates on an icosahedron or octahedron; on a
-    cube only the random rows that miss their argmax piece take a second
-    look, and none reaches _exit_candidates."""
-    checked = []
-
-    def below(corners, faces, xT, bound):
-        checked.append(xT.shape[1])
-        return below.original(corners, faces, xT, bound)
-
-    below.original = geometry._below
-    monkeypatch.setattr(geometry, "_below", below)
-    monkeypatch.setattr(geometry, "_exit_candidates", None)
+def test_no_random_row_of_a_built_in_solid_takes_the_exact_rule(exact_rows, rng):
+    """Random rows of a rotated, mirrored or loaded icosahedron, cube or
+    octahedron all get their faces in closed form; the tetrahedron is not
+    the same under a sign flip, so each of its rows takes the exact rule."""
     x = random_unit_vectors(rng, 2000)
-    for solid in (icosahedron, octahedron):
-        exit_faces(solid(random_rotation(rng)), x)
-    assert checked == []
-    exit_faces(cube(random_rotation(rng)), x)
-    assert checked[0] == 2000 and 0 < checked[1] < 2000
+    for solid in (icosahedron, cube, octahedron):
+        p = solid(random_rotation(rng))
+        for q in (p, polyhedron_from_vertices(p.vertices), polyhedron_from_vertices(-p.vertices)):
+            assert np.array_equal(exit_faces(q, x), checked_exit_faces(q, x))
+    assert exact_rows == []
+    exit_faces(tetrahedron(), x)
+    assert exact_rows == [2000]
 
 
 CUBE_CORNER = np.array([[0, 2, 1], [0, 4, 2], [0, 1, 4], [1, 2, 4]])
@@ -483,7 +564,7 @@ def test_frame_with_a_plane_through_the_origin_fails():
     origin: every vertex is behind every plane, but that offset is within
     HULL_TOL of zero."""
     tet = tetrahedron()
-    normals, offsets, _ = tet._face_frames
+    normals, offsets, _ = tet.checked_frame
     moved = Polyhedron(tet.vertices - (offsets[0] - 1e-12) * normals[0], tet.faces, 1e-12, "moved")
     with pytest.raises(RuntimeError, match="ray-face intersection failed: a face plane passes"):
         exit_faces(moved, -normals[:1])
@@ -596,7 +677,7 @@ def test_special_orientations_alignment():
 
     # face orientation: +z leaves the solid through a face at distance l
     fico = icosahedron(face_rot)
-    normals, offsets, _ = fico._face_frames
+    normals, offsets, _ = fico.checked_frame
     along = normals @ z
     s = np.min(np.where(along > 1e-12, offsets / np.where(along > 0, along, 1.0), np.inf))
     assert s == pytest.approx(fico.inradius, abs=1e-12)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -505,6 +507,24 @@ def test_model_from_dict_rejects_malformed():
         model_from_dict(missing)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("lambda", [0.0, 1.0], "atom 0 lambda must have shape (3,), got (2,)"),
+    ("lambda_prime", [[0.0, 0.0, 1.0]], "atom 0 lambda_prime must have shape (3,), got (1, 3)"),
+    ("q", [0.5], "atom 0 q must have shape (), got (1,)"),
+    ("q", "0.5", "atom 0 q: expected a number, got str"),
+    ("q", True, "atom 0 q: expected a number, got bool"),
+    ("lambda", [0.0, True, 1.0], "atom 0 lambda: expected a number, got bool"),
+    ("lambda", (0.0, 0.0, 1.0), "atom 0 lambda: expected a number, got tuple"),
+])
+def test_model_from_dict_names_the_first_atom_of_a_bad_column(key, value, message):
+    """The same bad entry in every atom: the column parsed in one pass is
+    rejected, and the atom-by-atom parse names atom 0."""
+    doc = model_to_dict(vertex_model())
+    doc["atoms"] = [{**atom, key: value} for atom in doc["atoms"]]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_dict(doc)
+
+
 def test_verification_report_shape(rng):
     model = vertex_model()
     report = verify_model(model, model.simulated_state(), random_unit_vectors(rng, 64))
@@ -578,6 +598,7 @@ def test_linear_grid_matches_the_row_oracle(diag, n, seed):
 @example(icosahedron, (1.0, 0.0, 0.0, 0.0), 0, 0.5, 1.0)
 @example(cube, (1.0, 0.0, 0.0, 0.0), 0, 0.5, 1.0)
 @example(octahedron, (1.0, 0.0, 0.0, 0.0), 0, 0.5, 1.0)
+@example(cube, (1.0, 0.0, 0.0, 0.0), 0, 1e-12, 1.0)
 def test_face_maps_match_all_faces_oracle(solid, quat, seed, lam, fraction):
     """x @ A[exit face] is the sign-mixture response of the full convex
     decomposition, on random directions and on directions that tie

@@ -96,3 +96,12 @@ def test_csv_text_matches_the_row_oracle(data):
 def test_loads_inverse_of_dumps():
     doc = {"x": [0.1, 0.2, 0.3], "n": 7}
     assert serialize.loads(serialize.dumps(doc)) == doc
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dumps_rejects_non_finite_in_a_list_of_floats(bad):
+    """A list of floats is written in one join, after one finiteness check
+    that names the value, as a lone float's is."""
+    for doc in ([0.5, bad, 1.0], {"t0": [bad]}, [np.float64(0.5), np.float64(bad)]):
+        with pytest.raises(ValueError, match=f"non-finite value cannot be serialized: {bad!r}"):
+            serialize.dumps(doc)
