@@ -17,6 +17,7 @@ embeds the resolved configuration.  ``--out -`` streams to stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -38,26 +39,23 @@ from .boundary import (
     sample_axial_family,
 )
 from .geometry import (
-    SOLID_CONSTANTS,
     Rotation,
     cube,
     icosahedron,
     octahedron,
     random_rotation,
     special_orientations,
-    special_vertices,
 )
 from .lhsmodel import (
     FiniteLhsModel,
     build_polyhedron_model,
     build_separable_tetrahedron_model,
     entropy_bits,
-    mapped_norms,
     model_from_json,
     model_to_dict,
     verify_model,
 )
-from .qstate import DiagMat3, TState, max_physical_visibility
+from .qstate import DiagMat3, max_physical_visibility
 from .scanopt import (
     REGIMES,
     VISIBILITY_PER_S,
@@ -69,6 +67,7 @@ from .scanopt import (
 )
 
 RESIDUAL_GATE = 1e-8
+DIRECTIONS = 1024
 DECOMP_GATE = 1e-10
 OPTIMIZE_SLACK = 1e-9
 AXIAL_TOL = 1e-12
@@ -86,25 +85,26 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _random_directions(n: int, seed: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"need at least one direction, got {n}")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 3))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def _simulated_state(model: FiniteLhsModel, cap: str = "") -> TState:
-    """The state the model simulates.  Raises ValueError naming the
-    visibility t (followed by ``cap``) and the largest physical visibility
-    along T0 when t * T0 is not a physical state."""
+def _verified(model: FiniteLhsModel, seed: int, config: dict, head: dict,
+              cap: str = "") -> tuple[dict, int]:
+    """Verify ``model`` on DIRECTIONS seeded random directions.  Returns the
+    report document, ``head`` first and ``config`` last (which gains the
+    direction count, seed and gate), and the exit code.  Raises ValueError
+    naming the visibility t (followed by ``cap``) and the largest physical
+    visibility along T0 when t * T0 is not a physical state."""
     t_phys = max_physical_visibility(model.target)
     if model.visibility > t_phys:
         raise ValueError(
             f"visibility t = {model.visibility:.6g}{cap} gives an unphysical "
             f"state along T0; the largest physical visibility is {t_phys:.6g}"
         )
-    return model.simulated_state()
+    x = np.random.default_rng(seed).standard_normal((DIRECTIONS, 3))
+    report = verify_model(model, model.simulated_state(),
+                          x / np.linalg.norm(x, axis=1, keepdims=True))
+    config.update(directions=DIRECTIONS, direction_seed=seed, residual_gate=RESIDUAL_GATE)
+    doc = {**head, "t": model.visibility, "entropy_bits": entropy_bits(model),
+           "residuals": report.as_dict(), "worst": report.worst(), "config": config}
+    return doc, 0 if report.max_residual < RESIDUAL_GATE else 1
 
 
 def _parse_orientation(tokens: list[str], seed: int) -> tuple[Rotation, dict]:
@@ -131,8 +131,7 @@ def _parse_orientation(tokens: list[str], seed: int) -> tuple[Rotation, dict]:
 
 def cmd_model(args: argparse.Namespace) -> int:
     if args.solid == "tetra":
-        target = DiagMat3(*args.t)
-        model = build_separable_tetrahedron_model(target)
+        model = build_separable_tetrahedron_model(DiagMat3(*args.t))
         t_max = 1.0
         config: dict = {"subcommand": "model tetra", "t": list(args.t)}
     else:
@@ -141,57 +140,36 @@ def cmd_model(args: argparse.Namespace) -> int:
         poly_name = "icosahedron" if args.solid == "icosa" else args.poly
         maker = {"icosahedron": icosahedron, "cube": cube, "octahedron": octahedron}[poly_name]
         poly = maker(orientation)
-        cap = build_polyhedron_model(target, poly)
-        t_max = cap.visibility
-        model = cap if args.t is None else build_polyhedron_model(target, poly, visibility=args.t)
-        config = {
-            "subcommand": f"model {args.solid}",
-            "polyhedron": poly_name,
-            "t0": list(args.t0),
-            "t": model.visibility,
-        }
-        config.update(echo)
-    state = _simulated_state(model, f" (t_max = {t_max:.6g})")
-    config["directions"] = args.directions
-    config["direction_seed"] = args.seed
-    config["residual_gate"] = RESIDUAL_GATE
-
-    directions = _random_directions(args.directions, args.seed)
-    report = verify_model(model, state, directions)
-
+        model = build_polyhedron_model(target, poly)
+        t_max = model.visibility
+        if args.t is not None:
+            model = build_polyhedron_model(target, poly, visibility=args.t)
+        config = {"subcommand": f"model {args.solid}", "polyhedron": poly_name,
+                  "t0": list(args.t0), "t": model.visibility, **echo}
+    report, code = _verified(model, args.seed, config, {"t_max": t_max},
+                             f" (t_max = {t_max:.6g})")
     if args.out is not None:
-        doc = model_to_dict(model)
-        doc["config"] = config
-        _write_text(serialize.dumps(doc), args.out)
-    report_doc = {
-        "t_max": t_max,
-        "t": model.visibility,
-        "entropy_bits": entropy_bits(model),
-        "residuals": report.as_dict(),
-        "worst": report.worst(),
-        "config": config,
-    }
-    _write_text(serialize.dumps(report_doc), args.report)
-    return 0 if report.max_residual < RESIDUAL_GATE else 1
+        _write_text(serialize.dumps({**model_to_dict(model), "config": config}), args.out)
+    _write_text(serialize.dumps(report), args.report)
+    return code
+
+
+def _solver_meta(subcommand: str, args: argparse.Namespace) -> dict:
+    """The sidecar of a boundary solve on ``args.n`` rows: its settings."""
+    return {"subcommand": subcommand, "n": args.n, "t0z_min": args.t0z_min,
+            "solver_tol": SOLVER_TOL, "integral": "carlson_rg"}
 
 
 def cmd_boundary(args: argparse.Namespace) -> int:
     curve = sample_axial_family(args.n, t0z_min=args.t0z_min)
     _write_text(boundary_csv(curve), args.out)
+    meta = _solver_meta("boundary", args)
     if args.validate:
         residuals = np.abs(norm_integral(curve.t0x, curve.t0z) - 1.0)
         row = int(np.argmax(residuals))
         worst = float(residuals[row])
+        meta["validation"] = {"max_abs_n_minus_1": worst, "row": row}
     if args.out not in (None, "-"):
-        meta = {
-            "subcommand": "boundary",
-            "n": args.n,
-            "t0z_min": args.t0z_min,
-            "solver_tol": SOLVER_TOL,
-            "integral": "carlson_rg",
-        }
-        if args.validate:
-            meta["validation"] = {"max_abs_n_minus_1": worst, "row": row}
         _write_text(serialize.dumps(meta), args.out + ".meta.json")
     if args.validate and worst > VALIDATE_GATE:
         _fail(f"boundary re-validation failed: |N - 1| = {worst:.3e} at row {row}")
@@ -202,13 +180,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     points = scan_axial_family(args.n, t0z_min=args.t0z_min)
     _write_text(scan_csv(points), args.out)
-    meta = {
-        "subcommand": "scan",
-        "n": args.n,
-        "t0z_min": args.t0z_min,
-        "solver_tol": SOLVER_TOL,
-        "integral": "carlson_rg",
-    }
+    meta = _solver_meta("scan", args)
     summary_path = args.summary
     if args.out not in (None, "-"):
         _write_text(serialize.dumps(meta), args.out + ".meta.json")
@@ -222,30 +194,21 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    target = DiagMat3(*args.t0)
-    if target.is_singular:
-        raise ValueError("target diagonal is singular; no model exists")
+    # search T0 / 2**e, its largest entry in [0.5, 1): the best rotation is
+    # the same, and each visibility of T0 is the one found times 2**-e, exactly
+    target, exp = DiagMat3(*args.t0).normalized()
     random_best, rot = random_orientation_search(target, args.n, seed=args.seed)
     axial = abs(abs(target.dx) - abs(target.dy)) <= AXIAL_TOL
-    if axial:
-        s_values = analytic_norm_constants(abs(target.dx), abs(target.dz))
-        analytic_best = max(s_values) * VISIBILITY_PER_S
-    else:
-        _, sums = mapped_norms(special_vertices(), target.as_array())
-        analytic_best = SOLID_CONSTANTS["icosahedron"].numerator / float(sums.min())
-    doc = {
-        "analytic_best": analytic_best,
-        "random_best": random_best,
-        "n": args.n,
-        "seed": args.seed,
-        "gap": analytic_best - random_best,
-        "best_quaternion": [float(c) for c in rot.quat],
-        "axial": axial,
-        "config": {"subcommand": "optimize", "t0": list(args.t0),
-                   "n": args.n, "seed": args.seed},
-    }
+    doc: dict = {"random_best": math.ldexp(random_best, -exp), "n": args.n, "seed": args.seed}
+    if axial:       # the analytic maximum is known for axial targets only
+        best = max(analytic_norm_constants(abs(target.dx), abs(target.dz))) * VISIBILITY_PER_S
+        doc = {"analytic_best": math.ldexp(best, -exp), **doc,
+               "gap": math.ldexp(best - random_best, -exp)}
+    doc.update(best_quaternion=[float(c) for c in rot.quat], axial=axial,
+               config={"subcommand": "optimize", "t0": list(args.t0),
+                       "n": args.n, "seed": args.seed})
     _write_text(serialize.dumps(doc), args.out)
-    if axial and random_best > analytic_best + OPTIMIZE_SLACK:
+    if axial and random_best > best + OPTIMIZE_SLACK:
         _fail("random search exceeded the analytic maximum on an axial target")
         return 1
     return 0
@@ -291,22 +254,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    text = Path(args.model).read_text(encoding="utf-8")
-    model = model_from_json(text)
-    state = _simulated_state(model)
-    directions = _random_directions(args.directions, args.seed)
-    report = verify_model(model, state, directions)
-    doc = {
-        "t": model.visibility,
-        "entropy_bits": entropy_bits(model),
-        "residuals": report.as_dict(),
-        "worst": report.worst(),
-        "config": {"subcommand": "verify", "model": args.model,
-                   "directions": args.directions, "direction_seed": args.seed,
-                   "residual_gate": RESIDUAL_GATE},
-    }
-    _write_text(serialize.dumps(doc), args.out)
-    return 0 if report.max_residual < RESIDUAL_GATE else 1
+    model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
+    report, code = _verified(model, args.seed, {"subcommand": "verify", "model": args.model}, {})
+    _write_text(serialize.dumps(report), args.out)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,40 +268,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_model = sub.add_parser("model", help="build and verify a model")
     solid = p_model.add_subparsers(dest="solid", required=True)
-
-    def add_common_model_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--directions", type=int, default=1024,
-                       help="number of verification directions (default 1024)")
+    for name, what in (("icosa", "icosahedron model"), ("poly", "generic polyhedron model"),
+                       ("tetra", "separable-boundary tetrahedron model")):
+        p = solid.add_parser(name, help=what)
+        if name == "poly":
+            p.add_argument("--poly", required=True,
+                           choices=("icosahedron", "cube", "octahedron"))
+        if name == "tetra":
+            p.add_argument("--t", type=float, nargs=3, required=True,
+                           metavar=("DX", "DY", "DZ"),
+                           help="correlation diagonal with |dx|+|dy|+|dz| = 1")
+        else:
+            p.add_argument("--t0", type=float, nargs=3, required=True,
+                           metavar=("DX", "DY", "DZ"))
+            p.add_argument("--orientation", nargs="+", default=["vertex"],
+                           help="vertex|face|edge|random or four quaternion components")
+            p.add_argument("--t", type=float, default=None,
+                           help="visibility (default: the maximum)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for directions and random orientation")
         p.add_argument("--out", default=None,
                        help="model JSON path ('-' for stdout; default: not written)")
         p.add_argument("--report", default="-",
                        help="verification report JSON path (default stdout)")
-
-    p_icosa = solid.add_parser("icosa", help="icosahedron model")
-    p_icosa.add_argument("--t0", type=float, nargs=3, required=True,
-                         metavar=("DX", "DY", "DZ"))
-    p_icosa.add_argument("--orientation", nargs="+", default=["vertex"],
-                         help="vertex|face|edge|random or four quaternion components")
-    p_icosa.add_argument("--t", type=float, default=None,
-                         help="visibility (default: the maximum)")
-    add_common_model_flags(p_icosa)
-
-    p_poly = solid.add_parser("poly", help="generic polyhedron model")
-    p_poly.add_argument("--poly", required=True,
-                        choices=("icosahedron", "cube", "octahedron"))
-    p_poly.add_argument("--t0", type=float, nargs=3, required=True,
-                        metavar=("DX", "DY", "DZ"))
-    p_poly.add_argument("--orientation", nargs="+", default=["vertex"])
-    p_poly.add_argument("--t", type=float, default=None)
-    add_common_model_flags(p_poly)
-
-    p_tetra = solid.add_parser("tetra", help="separable-boundary tetrahedron model")
-    p_tetra.add_argument("--t", type=float, nargs=3, required=True,
-                         metavar=("DX", "DY", "DZ"),
-                         help="correlation diagonal with |dx|+|dy|+|dz| = 1")
-    add_common_model_flags(p_tetra)
 
     p_boundary = sub.add_parser("boundary", help="sample the axial boundary curve")
     p_boundary.add_argument("--n", type=int, default=200)
@@ -379,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="re-verify a model JSON file")
     p_ver.add_argument("--model", required=True)
-    p_ver.add_argument("--directions", type=int, default=1024)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", default="-")
     return parser

@@ -29,6 +29,7 @@ atoms as read-only stacked arrays, and checks each rule on them once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ class FiniteLhsModel:
         etas = None if self.etas is None else as_unit_rows(
             np.array(self.etas, dtype=float), "atom alice_bloch")
         if isinstance(self.response, SignMixture):
-            mapped = self.target.apply(preimages)
+            mapped = self.target.normalized()[0].apply(preimages)
             norms = np.linalg.norm(mapped, axis=1)
             if norms.min() <= 0:
                 raise ValueError("target maps an atom preimage to zero")
@@ -184,15 +185,16 @@ def build_polyhedron_model(target: DiagMat3, poly: Polyhedron,
     if poly.kind not in SOLID_CONSTANTS:
         raise ValueError(f"unsupported polyhedron {poly.kind!r}: the sign-sum constant is "
                          f"known for the built-in solids only ({', '.join(SOLID_CONSTANTS)})")
-    norms, total = mapped_norms(poly.vertices, target.as_array())
-    t_max = float(SOLID_CONSTANTS[poly.kind].numerator / total)
+    unit, exp = target.normalized()     # t_max scales as 1 / T0, exactly
+    norms, total = mapped_norms(poly.vertices, unit.as_array())
+    t_max = math.ldexp(float(SOLID_CONSTANTS[poly.kind].numerator / total), -exp)
     if visibility is None:
         visibility = t_max
     elif not (0.0 <= visibility <= t_max + 1e-12):
         raise ValueError(f"requested visibility {visibility!r} is outside [0, {t_max!r}]")
     scale = min(visibility / t_max, 1.0)
     return FiniteLhsModel(weights=norms / total,
-                          blochs=target.apply(poly.vertices) / norms[:, None],
+                          blochs=unit.apply(poly.vertices) / norms[:, None],
                           preimages=poly.vertices, response=SignMixture(poly, scale),
                           target=target, visibility=float(visibility))
 
@@ -207,7 +209,7 @@ def build_separable_tetrahedron_model(target: DiagMat3) -> FiniteLhsModel:
     (the sign fold happens here, so callers may pass signed diagonals).
     """
     diag = target.as_array()
-    norm = float(np.abs(diag).sum())
+    norm = abs(target.dx) + abs(target.dy) + abs(target.dz)
     if abs(norm - 1.0) > BOUNDARY_TOL:
         raise ValueError(f"target diagonal {tuple(diag.tolist())} is not on the separable "
                          f"boundary (|dx|+|dy|+|dz| = {norm!r})")
@@ -438,7 +440,7 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
         indexed = list(enumerate(atoms))
         q, blochs, preimages = (_column(indexed, key) for key in ("q", "lambda", "lambda_prime"))
         etas = _column([(i, a) for i, a in indexed if "eta" in a], "eta")
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (LookupError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     if kind == "sign_mixture":
         poly = polyhedron_from_vertices(as_unit_rows(preimages, "atom preimage"))

@@ -10,6 +10,7 @@ description.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,16 @@ class DiagMat3:
     def scaled(self, factor: float) -> "DiagMat3":
         return DiagMat3(factor * self.dx, factor * self.dy, factor * self.dz)
 
+    def normalized(self) -> tuple["DiagMat3", int]:
+        """(this diagonal / 2**e, e), e the binary exponent of the largest
+        |entry|: exact, and the largest |entry| of the result lies in
+        [0.5, 1), so its squares and sums neither under- nor overflow."""
+        e = math.frexp(max(abs(self.dx), abs(self.dy), abs(self.dz)))[1]
+        if e < sys.float_info.min_exp:
+            raise ValueError(f"diagonal entries must not all be subnormal, got "
+                             f"({self.dx!r}, {self.dy!r}, {self.dz!r})")
+        return DiagMat3(*(math.ldexp(d, -e) for d in (self.dx, self.dy, self.dz))), e
+
     @property
     def is_singular(self) -> bool:
         return self.dx == 0.0 or self.dy == 0.0 or self.dz == 0.0
@@ -123,8 +134,9 @@ def max_physical_visibility(corr: DiagMat3) -> float:
     Bell weight k of t * corr is (1 + t c_k . d) / 4, so t can grow until
     the most negative c_k . d brings a weight down to -PHYSICALITY_TOL.
     """
-    slope = -float((BELL_CORNERS @ corr.as_array()).min())
-    return math.inf if slope <= 0.0 else (1.0 + 4.0 * PHYSICALITY_TOL) / slope
+    unit, exp = corr.normalized()       # t scales as 1 / corr, exactly
+    slope = -float((BELL_CORNERS @ unit.as_array()).min())
+    return math.inf if slope <= 0.0 else math.ldexp((1.0 + 4.0 * PHYSICALITY_TOL) / slope, -exp)
 
 
 def axial_concurrence(a, z, visibility):

@@ -1,8 +1,10 @@
 """The benchmark's contract with the package: every function that
-``bench/tracer.py`` wraps and every ``F.<name>`` that ``bench/workloads.py``
-calls must exist, so that renaming or deleting one breaks a test here
-rather than ``--trace 1`` or a workload."""
+``bench/tracer.py`` wraps, every ``F.<name>`` that ``bench/workloads.py``
+calls and every CLI subcommand and option that its ``CliSession`` passes
+must exist, so that renaming or deleting one breaks a test here rather
+than ``--trace 1`` or a workload."""
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import finitelhs
+from finitelhs import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,6 +37,48 @@ def test_workload_names_exist():
              and isinstance(node.value, ast.Name) and node.value.id == "F"}
     assert names
     assert sorted(n for n in names if not hasattr(finitelhs, n)) == []
+
+
+def _subparser(parser: argparse.ArgumentParser, names: list[str]):
+    """The parser of the subcommand path ``names``, or None."""
+    for name in names:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs or name not in subs[0].choices:
+            return None
+        parser = subs[0].choices[name]
+    return parser
+
+
+def test_cli_session_options_exist():
+    """Each command of ``CliSession.commands`` is a list of words: its
+    leading string literals name the subcommand, and every literal that
+    starts with ``--``, conditional ones included, is an option of it."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    session = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "CliSession")
+    commands = next(node.value for node in ast.walk(session) if isinstance(node, ast.Assign)
+                    and any(getattr(t, "attr", None) == "commands" for t in node.targets))
+    parser = cli.build_parser()
+    checked, missing = 0, []
+    for entry in commands.elts:
+        argv = entry.elts[1]
+        words = [n.value for n in ast.walk(argv)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        path = []
+        for node in argv.elts:
+            if not (isinstance(node, ast.Constant) and not node.value.startswith("--")):
+                break
+            path.append(node.value)
+        sub = _subparser(parser, path)
+        if sub is None:
+            missing.append(" ".join(path))
+            continue
+        for option in (w for w in words if w.startswith("--")):
+            checked += 1
+            if option not in sub._option_string_actions:
+                missing.append(f"{' '.join(path)} {option}")
+    assert len(commands.elts) == 8 and checked >= 20
+    assert missing == []
 
 
 @pytest.mark.parametrize("kind", ["sign-mixture", "linear"])

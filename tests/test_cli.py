@@ -19,6 +19,7 @@ from finitelhs.cli import main
 from finitelhs.geometry import (
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
+    Rotation,
     cube,
     icosahedron,
     octahedron,
@@ -177,6 +178,32 @@ def test_model_rejects_non_finite_target(capsys):
     assert "finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,code", [
+    (["model", "icosa", "--t0", "1e160", "1e160", "1e160"], 2),
+    (["model", "icosa", "--t0", "1e-200", "1e-200", "1e-200"], 2),
+    (["optimize", "--t0", "1e-200", "1e-200", "1e-200"], 0),
+    (["optimize", "--t0", "1e160", "1e160", "1e160"], 0),
+    (["model", "tetra", "--t", "1e308", "1e308", "0"], 2),
+    (["model", "icosa", "--t0", "1e160", "1e160", "1e160", "--t", "3e-161"], 0),
+    (["model", "icosa", "--t0", "1e308", "1e308", "1e308"], 2),
+    (["optimize", "--t0", "1e-310", "1e-310", "1e-310"], 2),
+], ids=["icosa-huge", "icosa-tiny", "optimize-tiny", "optimize-huge", "tetra-huge",
+        "icosa-huge-physical", "icosa-max", "optimize-subnormal"])
+def test_target_scale_exits_cleanly(capsys, argv, code):
+    """A target whose squares under- or overflow is rescaled by a power of
+    two: each command exits 0 with a positive visibility, or exits 2 with
+    one line; never a warning, a traceback or exit 1."""
+    got, out, err = run(capsys, argv)
+    assert got == code, err
+    if code == 2:
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    else:
+        doc = serialize.loads(out)
+        assert err == "" and 0 < doc.get("t", doc.get("random_best")) < np.inf
+        assert 0 < doc.get("analytic_best", 1.0) < np.inf
+
+
 def test_model_tetra(capsys):
     code, out, _ = run(capsys, ["model", "tetra", "--t", "0.5", "0.25", "0.25"])
     assert code == 0
@@ -203,6 +230,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+    # the direction count is the constant DIRECTIONS, not an option
+    assert main(["model", "icosa", *WERNER_ARGS, "--directions", "8"]) == 2
+    assert "unrecognized arguments: --directions 8" in capsys.readouterr().err
+    assert main(["verify", "--model", "m.json", "--directions", "8"]) == 2
+    assert "unrecognized arguments: --directions 8" in capsys.readouterr().err
 
 
 def test_boundary_stdout(capsys):
@@ -327,10 +359,11 @@ def test_optimize_nonaxial(capsys):
     assert code == 0
     doc = serialize.loads(out)
     assert doc["axial"] is False
-    # the best special orientation's t_max, from the same table numerator
-    target = DiagMat3(-0.5, -0.4, -0.3)
-    assert doc["analytic_best"] == max(build_polyhedron_model(target, icosahedron(rot)).visibility
-                                       for rot in geometry.special_orientations())
+    # no maximum is known off the axial family: the report has the search only
+    assert "analytic_best" not in doc and "gap" not in doc
+    rot = Rotation.from_quat(doc["best_quaternion"])
+    model = build_polyhedron_model(DiagMat3(-0.5, -0.4, -0.3), icosahedron(rot))
+    assert doc["random_best"] == pytest.approx(model.visibility, rel=0, abs=1e-12)
 
 
 def test_optimize_builds_no_polyhedron(capsys, monkeypatch):
@@ -554,8 +587,10 @@ def test_verify_reproduces_the_model_report(capsys, tmp_path, poly, orientation)
     code, loaded, _ = run(capsys, ["verify", "--model", str(path), "--seed", "9"])
     assert code == 0
     built, loaded = serialize.loads(built), serialize.loads(loaded)
-    assert serialize.dumps(loaded["residuals"]) == serialize.dumps(built["residuals"])
-    assert loaded["worst"] == built["worst"]
+    for key in ("t", "entropy_bits", "residuals", "worst"):
+        assert serialize.dumps(loaded[key]) == serialize.dumps(built[key]), key
+    for key in ("directions", "direction_seed", "residual_gate"):
+        assert loaded["config"][key] == built["config"][key], key
 
 
 def _sign_mixture_doc(preimages: np.ndarray) -> dict:
@@ -675,7 +710,7 @@ def test_verify_fuzzed_model_files(tmp_path, base, mutate, data):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main(["verify", "--model", str(path), "--directions", "16"])
+        code = main(["verify", "--model", str(path)])
     if not mutate:
         assert code == 0
         return

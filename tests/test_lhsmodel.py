@@ -505,6 +505,10 @@ def test_model_from_dict_rejects_malformed():
     missing = {k: v for k, v in doc.items() if k != "atoms"}
     with pytest.raises(ValueError):
         model_from_dict(missing)
+    # an atom that is a numpy scalar once let its IndexError escape
+    for atom in (np.float64(0.3), [0.1, 0.2]):
+        with pytest.raises(ValueError, match="^malformed model document: "):
+            model_from_dict({**doc, "atoms": [atom, *doc["atoms"][1:]]})
 
 
 @pytest.mark.parametrize("key,value,message", [
