@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -260,10 +261,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number with an exponent,
+    such as -1e-3, as a value: argparse's own pattern has no exponent, so
+    it takes -1e-3 for an option.  Its subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="finitelhs",
-                                     description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="finitelhs", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_model = sub.add_parser("model", help="build and verify a model")

@@ -1,27 +1,27 @@
 """Rotations, unit-sphere polyhedra, and convex vertex decompositions.
 
-Every polyhedron is one of four built-in solids, and each solid is one
-read-only row of ``SOLID_CONSTANTS``: its canonical vertices, its faces,
-and its exact sign-sum constant c and inradius l.  No rotation changes the
-faces or l, so a rotated solid is its rotated vertices and that row's
-faces and inradius; no hull is built at run time.
-``polyhedron_from_vertices`` matches a vertex set, such as a loaded
-model's, to a row by its Gram matrix.  The special orientations and their
-rotated icosahedron vertices are read from the canonical vertices too.
+Every polyhedron is one of four built-in solids turned, and each solid is
+one read-only row of ``SOLID_CONSTANTS``: its canonical vertices C, its
+faces, and its exact sign-sum constant c and inradius l.  A polyhedron's
+vertices are V = C M^T for an orthogonal M (a rotation or a mirror image),
+which ``_fit_turn`` fits, also to accept a loaded model's vertices in
+``polyhedron_from_vertices``; its face frame is the row's
+``canonical_frame`` turned by M, and no hull or frame is built at run time.
 
-``exit_faces`` names the face cone of each direction on a checked face
-frame.  The icosahedron, cube and octahedron are the same under every
-coordinate sign flip in their canonical frame, so there it folds each
-direction into the first octant and reads its face from a table derived
-once per solid (``octant_table``).  Only directions within OCTANT_MARGIN
-of a boundary of that rule, and those of any other solid, take the exact
-rule: the face of largest x.n/d, or where the exit point misses it, the
+``exit_faces`` names the face cone of each direction.  The icosahedron,
+cube and octahedron are the same under every coordinate sign flip in
+their canonical frame, so there it folds each direction into the first
+octant and reads its face from a table derived once per solid
+(``octant_table``).  Only directions within OCTANT_MARGIN of a boundary of
+that rule, and every direction on the tetrahedron, take the exact rule:
+the face of largest x.n/d, or where the exit point misses it, the
 candidate of ``_exit_candidates``, which also serves every row of
 ``decompose_directions``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import UNIT_TOL, as_unit_rows, as_unit_vector
+from .qstate import UNIT_TOL, as_unit_rows
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -50,12 +50,9 @@ ICOSAHEDRON_VERTICES.flags.writeable = False
 # ~1e-17 of rounding noise where the exact dot product is 0.
 SIGN_TOL = 1e-12
 
-# The face frame checks: a face plane must pass farther than this from the
-# origin, a vertex within this distance of a face plane lies on it, and none
-# may lie farther beyond it.
+# Two unit face normals within this distance of each other are one facet's
+# (``octant_table``).
 HULL_TOL = 1e-10
-
-_Z = np.array([0.0, 0.0, 1.0])
 
 
 def quaternion_matrices(quats: np.ndarray) -> np.ndarray:
@@ -101,12 +98,17 @@ class Rotation:
 
     @staticmethod
     def from_quat(q) -> "Rotation":
+        """The rotation of q / |q|.  q is first divided by the power of two
+        of its largest |component|, exactly, so that |q| neither overflows
+        nor loses digits to underflow."""
         q = np.asarray(q, dtype=float)
-        n = np.linalg.norm(q)
-        if q.shape != (4,) or n == 0:
+        if q.shape != (4,) or not q.any():
             raise ValueError("quaternion must be a nonzero length-4 vector")
-        # Rotation rejects a non-finite q; q / |q| would warn first
-        return Rotation(q / n if np.isfinite(n) else q)
+        big = float(np.abs(q).max())
+        if not math.isfinite(big):
+            return Rotation(q)      # which rejects it; q / |q| would warn first
+        q = np.ldexp(q, -math.frexp(big)[1])
+        return Rotation(q / np.linalg.norm(q))
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:
@@ -118,21 +120,6 @@ def random_rotation(rng: np.random.Generator) -> Rotation:
     return Rotation(q / np.linalg.norm(q))
 
 
-def rotation_to_z(u) -> Rotation:
-    """The rotation carrying the unit vector ``u`` onto +z.
-
-    Uses the half-angle quaternion (1 + u.z, u x z) normalized, which is
-    stable everywhere except u = -z (handled as a half turn about x).
-    """
-    u = as_unit_vector(u, "direction")
-    c = float(u @ _Z)
-    if c < -1.0 + 1e-12:
-        return Rotation(np.array([0.0, 1.0, 0.0, 0.0]))
-    axis = np.cross(u, _Z)
-    q = np.concatenate(([1.0 + c], axis))
-    return Rotation(q / np.linalg.norm(q))
-
-
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
     """A convex polyhedron with unit vertices and triangulated faces.
@@ -140,11 +127,10 @@ class Polyhedron:
     ``faces`` holds vertex-index triples; ``inradius`` is the distance from
     the origin to the nearest face plane; ``kind`` names the built-in solid,
     its key in ``SOLID_CONSTANTS``, whose faces and inradius these are.
-    The vertices may be that solid's rotated or mirrored, so the face frame
-    is checked, not trusted: every reader of it goes through
-    ``checked_frame``, which checks it on first use, once per polyhedron.
-    Where the vertices are the canonical ones turned (``_canonical_turn``),
-    ``exit_faces`` reads the canonical frame, checked once per solid.
+    The vertices are that solid's canonical ones turned, V = C M^T for an
+    orthogonal M, and every reader of the face frame goes through
+    ``turn``, which fits M on first use, once per polyhedron, and raises
+    RuntimeError when the kind, faces or vertices are not a row turned.
     """
 
     vertices: np.ndarray
@@ -153,65 +139,43 @@ class Polyhedron:
     kind: str
 
     @cached_property
-    def checked_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(outward unit normals (F,3), plane offsets (F,), inverse corner
-        matrices (F,3,3)) of a checked face frame: the faces must close
-        into one oriented surface (every directed edge once, and its
-        reverse once), every plane must pass farther than HULL_TOL from the
-        origin (checked before a corner matrix, singular or nearly so
-        there, is inverted), and every vertex must lie within HULL_TOL
-        behind every plane.  On such a frame the ray along x leaves
-        through the face whose plane it meets first.  Raises RuntimeError
-        otherwise.
-        """
-        n = len(self.vertices)
-        edges = self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        forward = np.sort(edges[:, 0] * n + edges[:, 1])
-        if (np.diff(forward) == 0).any() or not np.array_equal(
-                forward, np.sort(edges[:, 1] * n + edges[:, 0])):
-            raise RuntimeError("ray-face intersection failed: the faces do not close "
-                               "into one oriented surface")
-        corners = self.vertices[self.faces]           # (F, 3, 3)
-        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-        normals = np.cross(b - a, c - a)
-        flip = np.einsum("fi,fi->f", normals, a) < 0
-        normals[flip] *= -1.0
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        offsets = np.einsum("fi,fi->f", normals, a)
-        if not offsets.min() > HULL_TOL:
-            raise RuntimeError(f"ray-face intersection failed: a face plane passes "
-                               f"{offsets.min():.3e} from the origin")
-        height = self.vertices @ normals.T - offsets  # (n, F)
-        if height.max() > HULL_TOL:
-            vertex, face = np.unravel_index(np.argmax(height), height.shape)
-            raise RuntimeError(f"ray-face intersection failed: vertex {vertex} lies "
-                               f"{height.max():.3e} beyond the plane of face {face}")
-        inv = np.linalg.inv(corners.transpose(0, 2, 1))  # columns are the corners
-        return normals, offsets, inv
+    def turn(self) -> np.ndarray:
+        """M^T, for the vertices V = C M^T of the built-in solid ``kind``
+        on its faces (``_fit_turn``); raises RuntimeError otherwise."""
+        solid = SOLID_CONSTANTS.get(self.kind)
+        rows = solid is not None and self.vertices.shape == solid.vertices.shape
+        if not (rows and np.array_equal(self.faces, solid.faces)) or (
+                turn := _fit_turn(solid.vertices, self.vertices)) is None:
+            raise RuntimeError(f"ray-face intersection failed: the polyhedron is not a built-in "
+                               f"solid turned by an orthogonal matrix (kind {self.kind!r})")
+        return turn
 
     @cached_property
-    def _canonical_turn(self) -> np.ndarray | None:
-        """M^T when the vertices are the canonical C of a built-in solid
-        with an ``octant_table``, turned by an orthogonal M (a rotation,
-        or a mirror image), V = C M^T, with the canonical faces; None
-        otherwise.  M = (3/n) V^T C, since C^T C = (n/3) I; V = C M^T and
-        M^T M = I are checked to SIGN_TOL."""
-        solid = SOLID_CONSTANTS.get(self.kind)
-        if (solid is None or octant_table(self.kind) is None
-                or self.vertices.shape != solid.vertices.shape
-                or not np.array_equal(self.faces, solid.faces)):
-            return None
-        m = (3.0 / len(self.vertices)) * (self.vertices.T @ solid.vertices)
-        if (np.abs(self.vertices - solid.vertices @ m.T).max() > SIGN_TOL
-                or np.abs(m.T @ m - np.eye(3)).max() > SIGN_TOL):
-            return None
-        return m.T.copy()
+    def checked_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(outward unit normals (F,3), plane offsets (F,), inverse corner
+        matrices (F,3,3)): the canonical frame of the solid turned, N_C M^T,
+        the canonical offsets and inv_C M^T.  On it the ray along x leaves
+        through the face whose plane it meets first."""
+        normals, offsets, inv = canonical_frame(self.kind)
+        return normals @ self.turn, offsets, inv @ self.turn
 
     @cached_property
     def is_inversion_symmetric(self) -> bool:
         v = self.vertices
         dists = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=2)
         return bool(np.all(dists.min(axis=1) <= 1e-9))
+
+
+def _fit_turn(c: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """M^T when the rows ``v`` are the canonical vertices ``c`` of a
+    built-in solid turned by an orthogonal M (a rotation, or a mirror
+    image), V = C M^T; None otherwise.  M = (3/n) V^T C, since
+    C^T C = (n/3) I; V = C M^T and M^T M = I are checked to SIGN_TOL."""
+    m = (3.0 / len(v)) * (v.T @ c)
+    if not (np.abs(v - c @ m.T).max() <= SIGN_TOL
+            and np.abs(m.T @ m - np.eye(3)).max() <= SIGN_TOL):
+        return None
+    return m.T.copy()
 
 
 def _rotated(v: np.ndarray, orientation: Rotation | None) -> np.ndarray:
@@ -282,6 +246,22 @@ OCTANT_MARGIN = 1e-9
 
 
 @cache
+def canonical_frame(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(outward unit normals (F,3), plane offsets (F,), inverse corner
+    matrices (F,3,3)), read-only, of the built-in solid ``kind`` at its
+    canonical vertices, whose faces are outward: every directed edge once
+    and its reverse once, the origin strictly behind every face plane and
+    every vertex on or behind it, as the tests check in exact arithmetic."""
+    solid = SOLID_CONSTANTS[kind]
+    corners = solid.vertices[solid.faces]          # (F, 3, 3)
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    normals = np.cross(b - a, c - a)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return (_read_only(normals), _read_only(np.einsum("fi,fi->f", normals, a)),
+            _read_only(np.linalg.inv(corners.transpose(0, 2, 1))))  # columns are the corners
+
+
+@cache
 def octant_table(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
     """(normals, faces, diagonals), read-only: the face cones of a built-in
     solid that is the same under every coordinate sign flip, from its
@@ -296,7 +276,7 @@ def octant_table(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] 
     normal is column ``key`` of ``diagonals`` (None when none is split).
     """
     solid = SOLID_CONSTANTS[kind]
-    normals, offsets, _ = Polyhedron(solid.vertices, solid.faces, 1.0, kind).checked_frame
+    normals, offsets, _ = canonical_frame(kind)
     candidates = [f for f in range(len(normals)) if normals[f].min() >= -HULL_TOL and not (
         np.abs(normals[:f] - normals[f]).max(axis=1, initial=0.0) <= HULL_TOL).any()]
     faces = np.empty((2, 8 * len(candidates)), dtype=np.intp)
@@ -324,16 +304,16 @@ def polyhedron_from_vertices(vertices) -> Polyhedron:
     in its canonical vertex order, at any orientation or its mirror image.
 
     The row count names the one candidate (4, 6, 8 or 12 vertices), and
-    the rows match when their Gram matrix V V^T is within SIGN_TOL of the
-    canonical C C^T everywhere; then ``vertex_signs`` reads the canonical
-    sign matrix off them.  The polyhedron is the rows and the solid's
-    faces and inradius.  Raises ValueError for any other vertex set,
-    before forming a product when the count fits no solid.
+    the rows match when they are its canonical vertices turned by an
+    orthogonal matrix (``_fit_turn``, as ``Polyhedron.turn`` fits them, so
+    a polyhedron accepted here never fails at first use).  The polyhedron
+    is the rows and the solid's faces and inradius.  Raises ValueError for
+    any other vertex set, before forming a product when the count fits no
+    solid.
     """
     v = as_unit_rows(vertices, "vertices")
     for name, solid in SOLID_CONSTANTS.items():
-        c = solid.vertices
-        if len(c) == len(v) and np.abs(v @ v.T - c @ c.T).max() <= SIGN_TOL:
+        if len(solid.vertices) == len(v) and _fit_turn(solid.vertices, v) is not None:
             return Polyhedron(v, solid.faces, solid.inradius, name)
     counts = ", ".join(f"{name} {len(s.vertices)}" for name, s in SOLID_CONSTANTS.items())
     raise ValueError(f"{len(v)} vertices match no built-in solid in its canonical vertex "
@@ -438,22 +418,21 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
 
 def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     """The face whose cone contains each unit direction in the rows of
-    ``x`` (already checked by ``as_unit_rows``), on any convex solid.
+    ``x`` (already checked by ``as_unit_rows``).
 
     An icosahedron, cube or octahedron V = C M^T is the same under every
     sign flip of y = M^T x, so its face is read in closed form from its
     ``octant_table``: the top candidate on a = |y| and the sign bits of y,
-    and for a split square the side of its diagonal plane.  Its frame is
-    the canonical one turned, checked once per solid.  The columns within
-    OCTANT_MARGIN of a boundary of that rule, and all columns of any other
-    solid, take the exact rule of ``_exact_exit_faces``, which checks the
-    frame on first use (``Polyhedron.checked_frame``); a bad one raises
-    RuntimeError.
+    and for a split square the side of its diagonal plane.  The columns
+    within OCTANT_MARGIN of a boundary of that rule, and all columns of a
+    tetrahedron, take the exact rule of ``_exact_exit_faces``.  A
+    polyhedron that is not a built-in solid turned raises RuntimeError
+    (``Polyhedron.turn``) before any row is read.
     """
-    turn = p._canonical_turn
-    if turn is None:
+    turn, table = p.turn, octant_table(p.kind)
+    if table is None:
         return _exact_exit_faces(p, x, np.arange(len(x)))
-    normals, faces, diagonals = octant_table(p.kind)
+    normals, faces, diagonals = table
     y = turn @ x.T                                 # (3, n): x in the canonical frame
     a = np.abs(y)
     scores = normals @ a                           # (K, n)
@@ -499,16 +478,13 @@ def _exact_exit_faces(p: Polyhedron, x: np.ndarray, rows: np.ndarray) -> np.ndar
 
 def special_orientations() -> tuple[Rotation, Rotation, Rotation]:
     """Rotations putting an icosahedron vertex, face center, and edge
-    midpoint on the +z axis (in that order)."""
-    v = ICOSAHEDRON_VERTICES
-    v0 = v[0]
-    partner = v[int(np.argsort(v @ v0)[-2])]
-    edge_mid = v0 + partner
-    edge_mid /= np.linalg.norm(edge_mid)
-    # the face of vertex 0 with its neighbours 7 and 5, summed in this order
-    center = v[[7, 0, 5]].mean(axis=0)
-    center /= np.linalg.norm(center)
-    return rotation_to_z(v0), rotation_to_z(center), rotation_to_z(edge_mid)
+    midpoint on the +z axis (in that order): vertex 0, the center of its
+    face (0, 7, 5) and the midpoint of its edge to vertex 6, each turned
+    onto +z by the half-angle quaternion (1 + u.z, u x z) normalized."""
+    return (Rotation(np.array([0.9619383577839176, 0.2732665289126717, 0.0, 0.0])),
+            Rotation(np.array([0.8880738339771151, 0.32505758367186816,
+                               0.32505758367186816, 0.0])),
+            Rotation(np.array([1.0, 0.0, 0.0, 0.0])))
 
 
 @cache

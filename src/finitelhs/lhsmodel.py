@@ -422,10 +422,11 @@ def model_from_dict(doc: dict) -> FiniteLhsModel:
 
     A sign-mixture model carries one atom per vertex of a built-in solid,
     in its canonical vertex order, so its polyhedron is the solid whose
-    Gram matrix the atom preimages match (``polyhedron_from_vertices``),
-    with the canonical faces and the table's inradius: the polyhedron the
-    model was built on.  Any other preimages raise ValueError.  A sign
-    mixture's ``eta`` entries are checked and dropped.
+    canonical vertices the atom preimages are, turned by an orthogonal
+    matrix (``polyhedron_from_vertices``), with the canonical faces and the
+    table's inradius: the polyhedron the model was built on.  Any other
+    preimages raise ValueError.  A sign mixture's ``eta`` entries are
+    checked and dropped.
     """
     try:
         for key in ("t0", "t", "scale"):

@@ -19,17 +19,6 @@ UNIT_TOL = 1e-12
 PHYSICALITY_TOL = 1e-12
 
 
-def as_unit_vector(v, what: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{what} must have shape (3,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
-    if abs(np.linalg.norm(arr) - 1.0) > UNIT_TOL:
-        raise ValueError(f"{what} must be a unit vector, |v| = {float(np.linalg.norm(arr))!r}")
-    return arr
-
-
 def as_unit_rows(x, what: str = "directions") -> np.ndarray:
     """``x`` as an (n, 3) array of n >= 1 finite unit rows; a single
     3-vector is one row."""

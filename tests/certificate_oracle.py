@@ -78,10 +78,11 @@ def exact_certificate(model: FiniteLhsModel, state: TState) -> float:
 
 
 def frame_is_exact(poly: Polyhedron) -> bool:
-    """The frame predicate of ``Polyhedron.checked_frame``, without tolerances:
-    every directed edge once and its reverse once, the origin strictly
-    behind every face plane, and every vertex on or behind it, the signed
-    volumes taken exactly."""
+    """Whether a face frame holds, without tolerances: every directed edge
+    once and its reverse once, the origin strictly behind every face
+    plane, and every vertex on or behind it, the signed volumes taken
+    exactly.  ``geometry.canonical_frame`` rests on it for the four
+    built-in solids."""
     edges = [(f[k], f[(k + 1) % 3]) for f in poly.faces.tolist() for k in range(3)]
     if len(set(edges)) != len(edges) or set(edges) != {(b, a) for a, b in edges}:
         return False

@@ -1,5 +1,9 @@
 """Lookups done the long way, as oracles for the package's fast paths.
 
+``computed_frame`` builds a polyhedron's face frame from its own vertices,
+for ``Polyhedron.checked_frame``, which turns its solid's canonical frame,
+and for the solids that are not built in.  ``rotation_to_z`` is the
+half-angle construction of ``geometry.special_orientations``' literals.
 ``all_faces_decompose`` computes barycentric coordinates of every direction
 on every face, for ``geometry.decompose_directions``, which computes them
 only for the candidate exit faces of each direction.
@@ -8,7 +12,8 @@ only for the candidate exit faces of each direction.
 closed form and checks only the rows near a boundary of that form.
 ``row_exit_faces`` finds the same faces direction-major: a per-row
 ``np.argmax``, an (n, 3, 3) gather of the inverse corner matrices, and
-on a split facet the coplanar partner of ``partners``.
+on a split facet the coplanar partner of ``partners``, which reads
+``computed_frame``.
 ``first_max`` is ``np.argmax(axis=0)`` through one float32 product, the
 first-maximum rule ``exit_faces`` once took its faces by.
 ``einsum_mapped_norms`` and ``einsum_orientation_search`` rotate with
@@ -29,6 +34,37 @@ from finitelhs.geometry import (
     quaternion_matrices,
 )
 from finitelhs.qstate import UNIT_TOL, DiagMat3
+
+from qstate_oracle import as_unit_vector
+
+
+def computed_frame(p: Polyhedron) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(outward unit normals (F,3), plane offsets (F,), inverse corner
+    matrices (F,3,3)) of the faces of ``p``, from its own vertices: each
+    normal the cross product of two edges, turned to point away from the
+    origin and normalized.  Computation only; ``certificate_oracle``'s
+    ``frame_is_exact`` checks a frame."""
+    corners = p.vertices[p.faces]                  # (F, 3, 3)
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    normals = np.cross(b - a, c - a)
+    normals[np.einsum("fi,fi->f", normals, a) < 0] *= -1.0
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals, np.einsum("fi,fi->f", normals, a), np.linalg.inv(corners.transpose(0, 2, 1))
+
+
+def rotation_to_z(u) -> Rotation:
+    """The rotation carrying the unit vector ``u`` onto +z.
+
+    Uses the half-angle quaternion (1 + u.z, u x z) normalized, which is
+    stable everywhere except u = -z (handled as a half turn about x).
+    """
+    u = as_unit_vector(u, "direction")
+    z = np.array([0.0, 0.0, 1.0])
+    c = float(u @ z)
+    if c < -1.0 + 1e-12:
+        return Rotation(np.array([0.0, 1.0, 0.0, 0.0]))
+    q = np.concatenate(([1.0 + c], np.cross(u, z)))
+    return Rotation(q / np.linalg.norm(q))
 
 
 def all_faces_decompose(p: Polyhedron, directions) -> np.ndarray:
@@ -94,10 +130,10 @@ def checked_exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
 
 
 def partners(p: Polyhedron) -> np.ndarray:
-    """The coplanar partner of each face (F,) of a checked frame: the face
-    itself for a triangle, the other piece for a facet split in two, -1
-    for a facet of three or more pieces."""
-    normals, offsets, _ = p.checked_frame
+    """The coplanar partner of each face (F,) of any convex polyhedron:
+    the face itself for a triangle, the other piece for a facet split in
+    two, -1 for a facet of three or more pieces."""
+    normals, offsets, _ = computed_frame(p)
     height = p.vertices @ normals.T - offsets      # (n, F)
     # coplanar[f, g]: the corners of face g lie on the plane of face f
     coplanar = (np.abs(height[p.faces]) <= HULL_TOL).all(axis=1).T

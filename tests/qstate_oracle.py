@@ -3,7 +3,9 @@ projective measurements, Bob's conditional states, and the explicit
 density matrix and Bell weights of a state.  The package works on the
 correlation diagonal alone; these are the per-measurement objects the
 tests check it against.  ``concurrence_axial`` is the checked scalar form
-of the package's elementwise ``qstate.axial_concurrence``.
+of the package's elementwise ``qstate.axial_concurrence``, and
+``as_unit_vector`` checks one direction as ``qstate.as_unit_rows`` checks
+rows.
 """
 
 from dataclasses import dataclass
@@ -16,9 +18,21 @@ from finitelhs.qstate import (
     UNIT_TOL,
     DiagMat3,
     TState,
-    as_unit_vector,
     axial_concurrence,
 )
+
+
+def as_unit_vector(v, what: str = "vector") -> np.ndarray:
+    """``v`` as one finite unit 3-vector: the single-row form of
+    ``qstate.as_unit_rows``, with the norm in its message."""
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (3,):
+        raise ValueError(f"{what} must have shape (3,), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    if abs(np.linalg.norm(arr) - 1.0) > UNIT_TOL:
+        raise ValueError(f"{what} must be a unit vector, |v| = {float(np.linalg.norm(arr))!r}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,10 +22,10 @@ from finitelhs.lhsmodel import (
     VerificationReport,
     response_maps,
 )
-from finitelhs.qstate import TState, as_unit_rows, as_unit_vector
+from finitelhs.qstate import TState, as_unit_rows
 
 from decompose_oracle import row_exit_faces
-from qstate_oracle import Measurement
+from qstate_oracle import Measurement, as_unit_vector
 
 
 def convex_decompose(p: Polyhedron, x) -> np.ndarray:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -178,30 +179,58 @@ def test_model_rejects_non_finite_target(capsys):
     assert "finite" in err
 
 
+QUATERNION = [1.0, -0.5, 0.25, 0.125]
+
+
+def _orientation(scale: int) -> list[str]:
+    """``model icosa`` at the quaternion QUATERNION * 2**scale, both files
+    written to stdout."""
+    return ["model", "icosa", *WERNER_ARGS, "--out", "-", "--orientation",
+            *(repr(math.ldexp(c, scale)) for c in QUATERNION)]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv,code", [
-    (["model", "icosa", "--t0", "1e160", "1e160", "1e160"], 2),
-    (["model", "icosa", "--t0", "1e-200", "1e-200", "1e-200"], 2),
-    (["optimize", "--t0", "1e-200", "1e-200", "1e-200"], 0),
-    (["optimize", "--t0", "1e160", "1e160", "1e160"], 0),
-    (["model", "tetra", "--t", "1e308", "1e308", "0"], 2),
-    (["model", "icosa", "--t0", "1e160", "1e160", "1e160", "--t", "3e-161"], 0),
-    (["model", "icosa", "--t0", "1e308", "1e308", "1e308"], 2),
-    (["optimize", "--t0", "1e-310", "1e-310", "1e-310"], 2),
+@pytest.mark.parametrize("argv,code,like", [
+    (["model", "icosa", "--t0", "1e160", "1e160", "1e160"], 2, None),
+    (["model", "icosa", "--t0", "1e-200", "1e-200", "1e-200"], 2, None),
+    (["optimize", "--t0", "1e-200", "1e-200", "1e-200"], 0, None),
+    (["optimize", "--t0", "1e160", "1e160", "1e160"], 0, None),
+    (["model", "tetra", "--t", "1e308", "1e308", "0"], 2, None),
+    (["model", "icosa", "--t0", "1e160", "1e160", "1e160", "--t", "3e-161"], 0, None),
+    (["model", "icosa", "--t0", "1e308", "1e308", "1e308"], 2, None),
+    (["optimize", "--t0", "1e-310", "1e-310", "1e-310"], 2, None),
+    (["model", "icosa", "--t0", "-1e-1", "-1e-1", "-1e-1"], 0, None),
+    (["optimize", "--t0", "-1e-3", "-1e-3", "-0.5"], 0, None),
+    (["model", "icosa", *WERNER_ARGS, "--orientation", "1e200", "1e200", "0", "0"], 0, None),
+    (["model", "icosa", *WERNER_ARGS, "--orientation", "1e-170", "0", "0", "0"], 0, None),
+    (["model", "icosa", *WERNER_ARGS, "--orientation", "3e-162", "0", "0", "0"], 0, None),
+    (_orientation(1023), 0, _orientation(0)),
+    (_orientation(-1000), 0, _orientation(0)),
 ], ids=["icosa-huge", "icosa-tiny", "optimize-tiny", "optimize-huge", "tetra-huge",
-        "icosa-huge-physical", "icosa-max", "optimize-subnormal"])
-def test_target_scale_exits_cleanly(capsys, argv, code):
-    """A target whose squares under- or overflow is rescaled by a power of
-    two: each command exits 0 with a positive visibility, or exits 2 with
-    one line; never a warning, a traceback or exit 1."""
+        "icosa-huge-physical", "icosa-max", "optimize-subnormal", "icosa-exponent-t0",
+        "optimize-exponent-t0", "quaternion-huge", "quaternion-tiny",
+        "quaternion-subnormal-square", "quaternion-2^1023", "quaternion-2^-1000"])
+def test_target_scale_exits_cleanly(capsys, argv, code, like):
+    """A target or a quaternion whose squares under- or overflow is
+    rescaled by a power of two, and a negative value written with an
+    exponent is a value, not an option: each command exits 0 with a
+    positive visibility, or exits 2 with one line; never a warning, a
+    traceback or exit 1.  A quaternion scaled by 2**1023 or 2**-1000 gives
+    the model and report of the unscaled one byte for byte, its
+    ``orientation`` tokens aside."""
     got, out, err = run(capsys, argv)
     assert got == code, err
     if code == 2:
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
-    else:
+    elif like is None:
         doc = serialize.loads(out)
         assert err == "" and 0 < doc.get("t", doc.get("random_best")) < np.inf
         assert 0 < doc.get("analytic_best", 1.0) < np.inf
+    else:
+        _, expected, _ = run(capsys, like)
+        for token, plain in zip(argv[-4:], like[-4:]):
+            out = out.replace(f'"{token}"', f'"{plain}"')
+        assert err == "" and out == expected
 
 
 def test_model_tetra(capsys):

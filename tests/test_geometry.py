@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from itertools import combinations
@@ -14,6 +13,7 @@ from finitelhs.geometry import (
     GOLDEN_RATIO,
     ICOSAHEDRON_INRADIUS,
     ICOSAHEDRON_SIGN_SUM,
+    ICOSAHEDRON_VERTICES,
     SOLID_CONSTANTS,
     Polyhedron,
     Rotation,
@@ -25,7 +25,6 @@ from finitelhs.geometry import (
     polyhedron_from_vertices,
     quaternion_matrices,
     random_rotation,
-    rotation_to_z,
     special_orientations,
     tetrahedron,
 )
@@ -39,17 +38,23 @@ from finitelhs.lhsmodel import (
 from finitelhs.qstate import DiagMat3
 
 from conftest import random_unit_vectors, tie_directions
+from certificate_oracle import frame_is_exact
 from convex_hull_oracle import PLANE_TOL, _hull, hull_facets, hull_polyhedron
 from decompose_oracle import (
     all_faces_decompose,
     checked_exit_faces,
+    computed_frame,
     first_max,
     partners,
+    rotation_to_z,
     row_exit_faces,
 )
 from response_oracle import convex_decompose, row_verify_model
 from sign_sum_oracle import sign_sum_constant
 from sphere_quadrature import fibonacci_sphere
+
+# the message of a polyhedron that is not a built-in solid turned (``Polyhedron.turn``)
+TURN_FIT = "ray-face intersection failed: the polyhedron is not a built-in solid turned"
 
 
 def test_icosahedron_basic_shape():
@@ -278,26 +283,26 @@ def test_decompose_matches_all_faces_oracle(solid, quat, seed, lam):
 
 
 def test_decompose_rejects_a_corrupted_face_frame():
-    """With face 0 replaced by a copy of face 1 the surface has a hole;
-    the ray through the hole meets only planes outside their triangles."""
+    """With face 0 replaced by a copy of face 1 the surface has a hole,
+    and the faces are no longer the icosahedron's: every row fails, the
+    ray through the hole too."""
     ico = icosahedron()
     faces = ico.faces.copy()
     faces[0] = faces[1]
-    holed = Polyhedron(vertices=ico.vertices, faces=faces, inradius=ico.inradius, kind="holed")
+    holed = Polyhedron(vertices=ico.vertices, faces=faces, inradius=ico.inradius, kind=ico.kind)
     centre = ico.vertices[ico.faces[0]].sum(axis=0)
     x = np.vstack([ico.vertices, centre / np.linalg.norm(centre)])
     for decompose in (decompose_directions, all_faces_decompose, exit_faces):
-        with pytest.raises(RuntimeError, match="ray-face intersection failed"):
+        with pytest.raises(RuntimeError, match=TURN_FIT):
             decompose(holed, x)
 
 
-def hexagonal_prism(orientation: Rotation | None = None) -> Polyhedron:
+def hexagonal_prism() -> Polyhedron:
     """A prism on a regular hexagon, inscribed in the unit sphere: each
     hexagon is one facet of four coplanar pieces, each side one of two."""
     angle = np.arange(6) * np.pi / 3
     ring = np.sqrt(0.75) * np.column_stack([np.cos(angle), np.sin(angle), np.zeros(6)])
-    v = np.vstack([ring + [0.0, 0.0, 0.5], ring - [0.0, 0.0, 0.5]])
-    return hull_polyhedron(v if orientation is None else orientation.apply(v))
+    return hull_polyhedron(np.vstack([ring + [0.0, 0.0, 0.5], ring - [0.0, 0.0, 0.5]]))
 
 
 def test_partners_pair_the_pieces_of_each_facet(rng):
@@ -311,19 +316,18 @@ def test_partners_pair_the_pieces_of_each_facet(rng):
         normals = p.checked_frame[0]
         assert np.abs(normals[partner] - normals).max() <= 1e-12
     prism = hexagonal_prism()
-    hexagon = np.abs(prism.checked_frame[0][:, 2]) > 0.5
+    hexagon = np.abs(computed_frame(prism)[0][:, 2]) > 0.5
     assert hexagon.sum() == 8 and np.all(partners(prism)[hexagon] == -1)
     side = partners(prism)[~hexagon]
     assert np.all(side >= 0) and np.array_equal(partners(prism)[side], np.flatnonzero(~hexagon))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([icosahedron, cube, octahedron, hexagonal_prism]),
+@given(st.sampled_from([icosahedron, cube, octahedron]),
        st.tuples(*[st.floats(-1.0, 1.0)] * 4),
        st.integers(0, 2**32 - 1),
        st.floats(0.0, 1.0))
 @example(cube, (1.0, 0.0, 0.0, 0.0), 0, 0.5)
-@example(hexagonal_prism, (1.0, 0.0, 0.0, 0.0), 0, 0.5)
 def test_exit_faces_match_the_checked_oracle(solid, quat, seed, lam):
     """Bit for bit the faces of the oracle that checks the argmax face of
     every row, on random directions and on directions that tie between
@@ -384,18 +388,19 @@ def test_exit_faces_near_a_boundary_match_the_checked_oracle(solid, quat, make, 
 
 
 def test_built_in_kind_off_its_canonical_frame_takes_the_exact_rule(exact_rows, rng):
-    """Valid frames of a built-in kind that are not V = C M^T for an
-    orthogonal M on the canonical faces take the exact rule on every row:
-    a solid's vertex rows permuted, with its faces renumbered to match (it
-    keeps the solid's faces), a stretched cube (V = C M^T, M^T M != I), an
-    icosahedron whose vertices moved by ~1e-6 off V = C M^T, and a cube
-    whose squares are split along their other diagonals."""
+    """Frames of a built-in kind that are not V = C M^T for an orthogonal
+    M on the canonical faces fail at first use, before any row reaches
+    the exact rule: a solid's vertex rows permuted, with its faces
+    renumbered to match (it keeps the solid's faces), a stretched cube
+    (V = C M^T, M^T M != I), an icosahedron whose vertices moved by ~1e-6
+    off V = C M^T, and a cube whose squares are split along their other
+    diagonals."""
     x = random_unit_vectors(rng, 500)
+    off = []
     for solid in (icosahedron, cube, octahedron):
         p = solid(random_rotation(rng))
         perm = np.roll(rng.permutation(len(p.vertices)), 1)
-        permuted = Polyhedron(p.vertices[perm], np.argsort(perm)[p.faces], p.inradius, p.kind)
-        assert np.array_equal(exit_faces(permuted, x), checked_exit_faces(p, x))
+        off.append(Polyhedron(p.vertices[perm], np.argsort(perm)[p.faces], p.inradius, p.kind))
     c, v = cube(), icosahedron(random_rotation(rng)).vertices
     # noise with no linear part in it, so that the fitted M stays orthogonal
     noise = 1e-6 * rng.standard_normal((12, 3))
@@ -409,17 +414,39 @@ def test_built_in_kind_off_its_canonical_frame_takes_the_exact_rule(exact_rows, 
             (other,) = np.setdiff1d(split[g], split[f])
             own, a, b = np.roll(split[f], -np.flatnonzero(~np.isin(split[f], split[g]))[0])
             split[f], split[g] = (own, a, other), (other, b, own)
-    for q in (Polyhedron(c.vertices * [1.0, 1.1, 1.0], c.faces, c.inradius, "cube"),
-              Polyhedron(moved, icosahedron().faces, icosahedron().inradius, "icosahedron"),
-              Polyhedron(turned.vertices, split, turned.inradius, "cube")):
-        assert np.array_equal(exit_faces(q, x), checked_exit_faces(q, x))
-    assert exact_rows == [500] * 6
+    off += [Polyhedron(c.vertices * [1.0, 1.1, 1.0], c.faces, c.inradius, "cube"),
+            Polyhedron(moved, icosahedron().faces, icosahedron().inradius, "icosahedron"),
+            Polyhedron(turned.vertices, split, turned.inradius, "cube")]
+    for q in off:
+        with pytest.raises(RuntimeError, match=TURN_FIT):
+            exit_faces(q, x)
+    assert exact_rows == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SOLID_CONSTANTS)), st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       st.sampled_from(["built", "loaded", "mirror image"]))
+@example("icosahedron", (1.0, 0.0, 0.0, 0.0), "built")
+@example("cube", (0.0, 1.0, 0.5, 0.0), "mirror image")
+@example("tetrahedron", (1.0, 0.0, 0.0, 0.0), "loaded")
+def test_turned_frame_matches_the_computed_frame(name, quat, make):
+    """The canonical frame turned (``checked_frame``) is within 2e-15 of
+    the frame computed from the vertices: the normals and offsets, and the
+    inverse corner matrices relative to their largest entry; on a built
+    solid, the one loaded from its vertices and a mirror image of it."""
+    assume(np.linalg.norm(quat) > 0.1)
+    p = geometry._solid(name, Rotation.from_quat(quat))
+    if make != "built":
+        mirror = [-1.0, 1.0, 1.0] if make == "mirror image" else 1.0
+        p = polyhedron_from_vertices(p.vertices * mirror)
+    for turned, computed in zip(p.checked_frame, computed_frame(p)):
+        assert np.abs(turned - computed).max() <= 2e-15 * max(np.abs(computed).max(), 1.0)
 
 
 def sign_mixture_model(p: Polyhedron, target: DiagMat3) -> FiniteLhsModel:
-    """One atom per vertex of any inversion-symmetric solid, weighted by
-    |T0 v_i| as ``build_polyhedron_model`` weights them, at visibility 1/2;
-    it needs no sign-sum constant, so a prism carries it too."""
+    """One atom per vertex of an inversion-symmetric built-in solid,
+    weighted by |T0 v_i| as ``build_polyhedron_model`` weights them, at
+    visibility 1/2, for any target."""
     norms, total = mapped_norms(p.vertices, target.as_array())
     return FiniteLhsModel(weights=norms / total, blochs=target.apply(p.vertices) / norms[:, None],
                           preimages=p.vertices, response=SignMixture(p), target=target,
@@ -427,13 +454,12 @@ def sign_mixture_model(p: Polyhedron, target: DiagMat3) -> FiniteLhsModel:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([icosahedron, cube, octahedron, hexagonal_prism]),
+@given(st.sampled_from([icosahedron, cube, octahedron]),
        st.tuples(*[st.floats(-1.0, 1.0)] * 4),
        st.integers(0, 2**32 - 1),
        st.floats(0.0, 1.0),
        st.sampled_from([(-0.6, -0.5, -0.4), (0.3, -0.2, 0.5), (-1.0, -1.0, -1.0)]))
 @example(cube, (1.0, 0.0, 0.0, 0.0), 0, 0.5, (-0.6, -0.5, -0.4))
-@example(hexagonal_prism, (1.0, 0.0, 0.0, 0.0), 0, 0.5, (-0.6, -0.5, -0.4))
 @example(cube, (0.0, 1.0, 0.5, 0.0), 0, 1e-12, (-0.6, -0.5, -0.4))
 def test_face_major_grid_matches_the_row_oracles(solid, quat, seed, lam, diag):
     """Bit for bit the faces of ``row_exit_faces`` and the report of
@@ -513,8 +539,8 @@ CUBE_CORNER = np.array([[0, 2, 1], [0, 4, 2], [0, 1, 4], [1, 2, 4]])
 
 
 def corrupted(case: str) -> tuple[Polyhedron, Polyhedron]:
-    """A solid, and a copy of it with a corrupted face frame over a vertex
-    set that is still inversion symmetric."""
+    """A solid, and a copy of it, of the same kind, with a corrupted face
+    frame over a vertex set that is still inversion symmetric."""
     ico = icosahedron()
     faces, vertices = ico.faces.copy(), ico.vertices.copy()
     if case == "duplicated face":
@@ -533,8 +559,8 @@ def corrupted(case: str) -> tuple[Polyhedron, Polyhedron]:
     else:
         # the corner tetrahedron of the cube at vertex 0: its far face
         # (1, 2, 4) has the origin in front of it
-        return cube(), Polyhedron(cube().vertices, CUBE_CORNER, 0.0, case)
-    return ico, Polyhedron(vertices, faces, ico.inradius, case)
+        return cube(), Polyhedron(cube().vertices, CUBE_CORNER, 0.0, "cube")
+    return ico, Polyhedron(vertices, faces, ico.inradius, ico.kind)
 
 
 @pytest.mark.parametrize("case,reason", [
@@ -546,27 +572,31 @@ def corrupted(case: str) -> tuple[Polyhedron, Polyhedron]:
     ("origin outside", "vertex 0 lies .* beyond the plane of face 3"),
 ])
 def test_corrupted_frames_fail_at_first_use(case, reason, rng):
-    """exit_faces checks the frame before it reads a row, so every row
-    fails, even ones the argmax alone would place; verify_model on a model
-    whose response reads the frame fails the same way."""
+    """Each frame breaks the exact frame predicate (``reason`` is the rule
+    it breaks) and is no built-in solid turned: exit_faces fits the turn
+    before it reads a row, so every row fails, even ones the argmax alone
+    would place; verify_model on a model whose response reads the frame
+    fails the same way."""
     good, bad = corrupted(case)
+    assert not frame_is_exact(bad), reason
     x = good.vertices[good.faces[-1]].sum(axis=0)
-    with pytest.raises(RuntimeError, match="ray-face intersection failed: .*" + reason):
+    with pytest.raises(RuntimeError, match=TURN_FIT):
         exit_faces(bad, (x / np.linalg.norm(x))[None, :])
     model = build_polyhedron_model(DiagMat3(-0.6, -0.5, -0.4), good)
     model = replace(model, response=SignMixture(bad, model.response.scale))
-    with pytest.raises(RuntimeError, match="ray-face intersection failed"):
+    with pytest.raises(RuntimeError, match=TURN_FIT):
         verify_model(model, model.simulated_state(), random_unit_vectors(rng, 10))
 
 
 def test_frame_with_a_plane_through_the_origin_fails():
     """A tetrahedron moved until the plane of face 0 passes 1e-12 from the
-    origin: every vertex is behind every plane, but that offset is within
-    HULL_TOL of zero."""
+    origin: every vertex is behind every plane, but it is no tetrahedron
+    turned."""
     tet = tetrahedron()
     normals, offsets, _ = tet.checked_frame
-    moved = Polyhedron(tet.vertices - (offsets[0] - 1e-12) * normals[0], tet.faces, 1e-12, "moved")
-    with pytest.raises(RuntimeError, match="ray-face intersection failed: a face plane passes"):
+    moved = Polyhedron(tet.vertices - (offsets[0] - 1e-12) * normals[0], tet.faces, 1e-12,
+                       tet.kind)
+    with pytest.raises(RuntimeError, match=TURN_FIT):
         exit_faces(moved, -normals[:1])
 
 
@@ -579,17 +609,18 @@ def origin_frames() -> list[Polyhedron]:
     tv, iv = tet.vertices.copy(), ico.vertices.copy()
     tv[0] = 0.0
     iv[[0, 9]] = 0.0
-    return [Polyhedron(tv, tet.faces, tet.inradius, "origin vertex"),
-            Polyhedron(iv, ico.faces, ico.inradius, "origin vertices")]
+    return [Polyhedron(tv, tet.faces, tet.inradius, tet.kind),
+            Polyhedron(iv, ico.faces, ico.inradius, ico.kind)]
 
 
 @pytest.mark.parametrize("frame", origin_frames(), ids=["tetrahedron", "icosahedron"])
 def test_frame_with_a_plane_exactly_through_the_origin_fails(frame, rng):
-    """The offset check runs before any corner matrix is inverted, so a
-    singular one gives the frame error, not numpy's LinAlgError; from
-    exit_faces and from verify_model on a model whose response reads the
-    frame."""
-    match = re.escape("ray-face intersection failed: a face plane passes 0.000e+00 from the origin")
+    """The turn is fitted before any frame is read, and no corner matrix
+    of the polyhedron is inverted, so a singular one gives the frame
+    error, not numpy's LinAlgError; from exit_faces and from verify_model
+    on a model whose response reads the frame."""
+    assert not frame_is_exact(frame)
+    match = TURN_FIT
     with pytest.raises(RuntimeError, match=match):
         exit_faces(frame, random_unit_vectors(rng, 10))
     if frame.is_inversion_symmetric:
@@ -660,8 +691,15 @@ def test_rotation_to_z_cases(rng):
 
 def test_special_orientations_are_pinned():
     """The special quaternions, and with them every ``--orientation
-    vertex|face|edge`` artifact, do not depend on the hull's face order."""
+    vertex|face|edge`` artifact, are literals: bit for bit the half-angle
+    rotations (``rotation_to_z``) of vertex 0, the centre of its face
+    (0, 7, 5) and the midpoint of its edge to vertex 6."""
+    v = ICOSAHEDRON_VERTICES
+    centre, edge = v[[7, 0, 5]].mean(axis=0), v[0] + v[6]
+    oracle = [rotation_to_z(u) for u in (v[0], centre / np.linalg.norm(centre),
+                                         edge / np.linalg.norm(edge))]
     assert [r.quat.tolist() for r in special_orientations()] == [
+        r.quat.tolist() for r in oracle] == [
         [0.9619383577839176, 0.2732665289126717, 0.0, 0.0],
         [0.8880738339771151, 0.32505758367186816, 0.32505758367186816, 0.0],
         [1.0, 0.0, 0.0, 0.0],
@@ -717,7 +755,7 @@ def test_polyhedron_from_vertices_matches_only_a_built_in_solid(name, rng):
     """A rotated solid and its mirror image match; the same rows with one
     vertex turned by 1e-9, two non-antipodal rows swapped, or one row
     dropped do not, and the message names the row count and every solid.
-    (Every permutation of the tetrahedron's rows keeps its Gram matrix.)"""
+    (Every permutation of the tetrahedron's rows is a turn of it.)"""
     v = geometry._rotated(SOLID_CONSTANTS[name].vertices, random_rotation(rng))
     for rows in (v, v * [-1.0, 1.0, 1.0]):
         assert polyhedron_from_vertices(rows).kind == name
