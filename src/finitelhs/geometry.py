@@ -5,18 +5,17 @@ one read-only row of ``SOLID_CONSTANTS``: its canonical vertices C, its
 faces, and its exact sign-sum constant c and inradius l.  A polyhedron's
 vertices are V = C M^T for an orthogonal M (a rotation or a mirror image),
 which ``_fit_turn`` fits, also to accept a loaded model's vertices in
-``polyhedron_from_vertices``; its face frame is the row's
-``canonical_frame`` turned by M, and no hull or frame is built at run time.
+``polyhedron_from_vertices``, which keeps that fit; its face frame is the
+row's ``canonical_frame`` turned by M, and no hull or frame is built.
 
-``exit_faces`` names the face cone of each direction.  The icosahedron,
-cube and octahedron are the same under every coordinate sign flip in
-their canonical frame, so there it folds each direction into the first
-octant and reads its face from a table derived once per solid
-(``octant_table``).  Only directions within OCTANT_MARGIN of a boundary of
-that rule, and every direction on the tetrahedron, take the exact rule:
-the face of largest x.n/d, or where the exit point misses it, the
-candidate of ``_exit_candidates``, which also serves every row of
-``decompose_directions``.
+A polyhedron carries a sign mixture exactly when its kind has an
+``octant_table``: a row that every coordinate sign flip, inversion
+included, maps to itself (the icosahedron, cube and octahedron).
+``exit_faces`` folds each direction into the first octant and reads its
+face cone from that table.  Only directions within OCTANT_MARGIN of a
+boundary of that rule take the exact rule: the face of largest x.n/d, or
+where the exit point misses it, the candidate of ``_exit_candidates``,
+which also serves every row of ``decompose_directions``.
 """
 
 from __future__ import annotations
@@ -159,12 +158,6 @@ class Polyhedron:
         normals, offsets, inv = canonical_frame(self.kind)
         return normals @ self.turn, offsets, inv @ self.turn
 
-    @cached_property
-    def is_inversion_symmetric(self) -> bool:
-        v = self.vertices
-        dists = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=2)
-        return bool(np.all(dists.min(axis=1) <= 1e-9))
-
 
 def _fit_turn(c: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     """M^T when the rows ``v`` are the canonical vertices ``c`` of a
@@ -265,7 +258,9 @@ def canonical_frame(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def octant_table(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
     """(normals, faces, diagonals), read-only: the face cones of a built-in
     solid that is the same under every coordinate sign flip, from its
-    SOLID_CONSTANTS row; None for any other (the tetrahedron).
+    SOLID_CONSTANTS row, inversion included; None for any other kind (the
+    tetrahedron, or no row).  The one rule of which solids carry a sign
+    mixture: on them the uniform remainder of a decomposition cancels.
 
     ``normals`` (K, 3) holds n/d of the K candidate facets, whose normals
     lie in the closed first octant: on a = |y| the top candidate is the
@@ -275,7 +270,9 @@ def octant_table(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] 
     its pieces in front of and behind its diagonal plane, whose unit
     normal is column ``key`` of ``diagonals`` (None when none is split).
     """
-    solid = SOLID_CONSTANTS[kind]
+    solid = SOLID_CONSTANTS.get(kind)
+    if solid is None:
+        return None
     normals, offsets, _ = canonical_frame(kind)
     candidates = [f for f in range(len(normals)) if normals[f].min() >= -HULL_TOL and not (
         np.abs(normals[:f] - normals[f]).max(axis=1, initial=0.0) <= HULL_TOL).any()]
@@ -305,16 +302,17 @@ def polyhedron_from_vertices(vertices) -> Polyhedron:
 
     The row count names the one candidate (4, 6, 8 or 12 vertices), and
     the rows match when they are its canonical vertices turned by an
-    orthogonal matrix (``_fit_turn``, as ``Polyhedron.turn`` fits them, so
-    a polyhedron accepted here never fails at first use).  The polyhedron
-    is the rows and the solid's faces and inradius.  Raises ValueError for
-    any other vertex set, before forming a product when the count fits no
-    solid.
+    orthogonal matrix (``_fit_turn``).  The polyhedron is the rows, the
+    solid's faces and inradius, and as its cached ``turn`` the fit that
+    accepted them.  Raises ValueError for any other vertex set, before
+    forming a product when the count fits no solid.
     """
     v = as_unit_rows(vertices, "vertices")
     for name, solid in SOLID_CONSTANTS.items():
-        if len(solid.vertices) == len(v) and _fit_turn(solid.vertices, v) is not None:
-            return Polyhedron(v, solid.faces, solid.inradius, name)
+        if len(solid.vertices) == len(v) and (turn := _fit_turn(solid.vertices, v)) is not None:
+            p = Polyhedron(v, solid.faces, solid.inradius, name)
+            object.__setattr__(p, "turn", turn)     # the cached_property's slot
+            return p
     counts = ", ".join(f"{name} {len(s.vertices)}" for name, s in SOLID_CONSTANTS.items())
     raise ValueError(f"{len(v)} vertices match no built-in solid in its canonical vertex "
                      f"order ({counts} vertices)")
@@ -398,10 +396,10 @@ def decompose_directions(p: Polyhedron, directions: np.ndarray) -> np.ndarray:
     intersected with its exit face, the candidate that contains the exit
     point (see ``_exit_candidates``); the face's barycentric coordinates
     are scaled by inradius/s and the remainder spread uniformly over all
-    vertices, which cancels because the vertex set is inversion symmetric.
+    vertices, which cancels where ``octant_table`` exists (else ValueError).
     """
     x = as_unit_rows(directions)
-    if not p.is_inversion_symmetric:
+    if octant_table(p.kind) is None:
         raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
     hit, s, bary = _exit_candidates(p, x)
     bary = np.maximum(bary, 0.0)
@@ -420,18 +418,18 @@ def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
     """The face whose cone contains each unit direction in the rows of
     ``x`` (already checked by ``as_unit_rows``).
 
-    An icosahedron, cube or octahedron V = C M^T is the same under every
-    sign flip of y = M^T x, so its face is read in closed form from its
-    ``octant_table``: the top candidate on a = |y| and the sign bits of y,
-    and for a split square the side of its diagonal plane.  The columns
-    within OCTANT_MARGIN of a boundary of that rule, and all columns of a
-    tetrahedron, take the exact rule of ``_exact_exit_faces``.  A
-    polyhedron that is not a built-in solid turned raises RuntimeError
-    (``Polyhedron.turn``) before any row is read.
+    A polyhedron V = C M^T that carries a sign mixture is the same under
+    every sign flip of y = M^T x, so its face is read in closed form from
+    its ``octant_table``: the top candidate on a = |y| and the sign bits
+    of y, and for a split square the side of its diagonal plane.  The
+    columns within OCTANT_MARGIN of a boundary of that rule take the exact
+    rule of ``_exact_exit_faces``.  A polyhedron that is not a built-in
+    solid turned raises RuntimeError (``Polyhedron.turn``) before anything
+    else, and a row with no table (the tetrahedron) raises ValueError.
     """
     turn, table = p.turn, octant_table(p.kind)
     if table is None:
-        return _exact_exit_faces(p, x, np.arange(len(x)))
+        raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
     normals, faces, diagonals = table
     y = turn @ x.T                                 # (3, n): x in the canonical frame
     a = np.abs(y)
@@ -460,13 +458,13 @@ def exit_faces(p: Polyhedron, x: np.ndarray) -> np.ndarray:
 
 
 def _exact_exit_faces(p: Polyhedron, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The exit face of the rows ``rows`` of ``x``, by the exact rule: the
-    face whose plane the ray meets first, maximizing x.n/d, when its lowest
-    barycentric coordinate is >= 0, and otherwise the piece that
-    ``_exit_candidates`` picks.  On an edge or vertex the faces that meet
-    there agree to rounding, so any of them would do.  The scores are
-    read off the product of all of x: a one-row product rounds
-    differently, and a tie could go the other way."""
+    """The exit face of the rows ``rows`` of ``x`` near a boundary of the
+    closed form, by the exact rule: the face whose plane the ray meets
+    first, maximizing x.n/d, when its lowest barycentric coordinate is
+    >= 0, and otherwise the piece that ``_exit_candidates`` picks.  On an
+    edge or vertex the faces that meet there agree to rounding, so any of
+    them would do.  The scores are read off the product of all of x: a
+    one-row product rounds differently, and a tie could go the other way."""
     normals, offsets, inv = p.checked_frame
     hit = np.argmax((x @ (normals / offsets[:, None]).T)[rows], axis=1)
     bary = np.einsum("nij,nj->ni", inv[hit], x[rows])

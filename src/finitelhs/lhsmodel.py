@@ -24,7 +24,8 @@ residual and the face where the certificate is worst.
 A model is its arrays: :class:`FiniteLhsModel` holds the weights, Bloch
 vectors, preimages and (for a linear response) Alice's vectors of its
 atoms as read-only stacked arrays, and checks each rule on them once.
-:class:`SignMixture` rejects a polyhedron that is not inversion symmetric.
+:class:`SignMixture` takes a polyhedron whose kind has a
+``geometry.octant_table``, the one rule of which solids carry a sign mixture.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .geometry import (
     SOLID_CONSTANTS,
     Polyhedron,
     exit_faces,
+    octant_table,
     polyhedron_from_vertices,
     tetrahedron,
     vertex_signs,
@@ -76,7 +78,7 @@ class SignMixture:
     def __post_init__(self) -> None:
         if not (0.0 <= self.scale <= 1.0 + 1e-12):
             raise ValueError(f"response scale must lie in [0, 1], got {self.scale!r}")
-        if not self.polyhedron.is_inversion_symmetric:
+        if octant_table(self.polyhedron.kind) is None:
             raise ValueError(
                 f"unsupported polyhedron {self.polyhedron.kind!r}: not inversion symmetric")
 

@@ -174,12 +174,11 @@ def zero_entanglement_interval(scan: AxialScan) -> tuple[float, float] | None:
     return float(scan.t0z[first[run]]), float(scan.t0z[last[run]])
 
 
-@cache
 def vertex_face_crossover() -> float:
     """The t0z on the boundary where the vertex and face maxima exchange:
-    the isotropic point t0x = t0z, at t0z = 1 / norm_integral(1, 1) = 1/2.
-    """
-    return float(1.0 / norm_integral(1.0, 1.0))
+    the isotropic point t0x = t0z, at t0z = 1 / norm_integral(1, 1) = 1/2,
+    since N(a, a) = 2a exactly."""
+    return 0.5
 
 
 def _face_edge_quintic(x):

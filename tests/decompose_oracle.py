@@ -4,6 +4,8 @@
 for ``Polyhedron.checked_frame``, which turns its solid's canonical frame,
 and for the solids that are not built in.  ``rotation_to_z`` is the
 half-angle construction of ``geometry.special_orientations``' literals.
+``is_inversion_symmetric`` scans a vertex set for its antipodes, for the
+rule ``geometry.octant_table`` reads off a polyhedron's kind.
 ``all_faces_decompose`` computes barycentric coordinates of every direction
 on every face, for ``geometry.decompose_directions``, which computes them
 only for the candidate exit faces of each direction.
@@ -52,6 +54,15 @@ def computed_frame(p: Polyhedron) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return normals, np.einsum("fi,fi->f", normals, a), np.linalg.inv(corners.transpose(0, 2, 1))
 
 
+def is_inversion_symmetric(p: Polyhedron) -> bool:
+    """Whether every vertex of ``p`` has its antipode among the vertices,
+    within 1e-9: an O(V^2) scan of the vertex set itself, for the rule of
+    ``geometry.octant_table``, which reads the kind alone."""
+    v = p.vertices
+    dists = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=2)
+    return bool(np.all(dists.min(axis=1) <= 1e-9))
+
+
 def rotation_to_z(u) -> Rotation:
     """The rotation carrying the unit vector ``u`` onto +z.
 
@@ -80,7 +91,7 @@ def all_faces_decompose(p: Polyhedron, directions) -> np.ndarray:
         raise ValueError(f"directions must have shape (n, 3), got {x.shape}")
     if np.abs(np.linalg.norm(x, axis=1) - 1.0).max() > UNIT_TOL:
         raise ValueError("directions must be unit vectors")
-    if not p.is_inversion_symmetric:
+    if not is_inversion_symmetric(p):
         raise ValueError(f"polyhedron {p.kind!r} is not inversion symmetric")
 
     normals, offsets, inv = p.checked_frame

@@ -1,12 +1,14 @@
 """The benchmark's contract with the package: every function that
 ``bench/tracer.py`` wraps, every ``F.<name>`` that ``bench/workloads.py``
-calls and every CLI subcommand and option that its ``CliSession`` passes
-must exist, so that renaming or deleting one breaks a test here rather
-than ``--trace 1`` or a workload."""
+calls, with the arguments it passes, and every CLI subcommand and option
+that its ``CliSession`` passes must exist, so that renaming or deleting
+one, or changing its parameters, breaks a test here rather than
+``--trace 1`` or a workload."""
 
 import argparse
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,29 @@ def test_workload_names_exist():
              and isinstance(node.value, ast.Name) and node.value.id == "F"}
     assert names
     assert sorted(n for n in names if not hasattr(finitelhs, n)) == []
+
+
+def test_workload_calls_bind():
+    """Every ``F.<name>(...)`` call of ``bench/workloads.py`` binds to the
+    signature of that name: its count of positional arguments and its
+    keyword names.  A call with a starred argument is skipped."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "F"]
+    checked, unbound = 0, []
+    for call in calls:
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            continue
+        checked += 1
+        signature = inspect.signature(getattr(finitelhs, call.func.attr))
+        try:
+            signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: F.{call.func.attr}: {exc}")
+    assert checked >= 10
+    assert unbound == []
 
 
 def _subparser(parser: argparse.ArgumentParser, names: list[str]):

@@ -206,18 +206,24 @@ def _orientation(scale: int) -> list[str]:
     (["model", "icosa", *WERNER_ARGS, "--orientation", "3e-162", "0", "0", "0"], 0, None),
     (_orientation(1023), 0, _orientation(0)),
     (_orientation(-1000), 0, _orientation(0)),
+    # 10**17 points is past any 57-bit address space: refused, never granted
+    (["boundary", "--n", str(10**17)], 2, None),
+    (["scan", "--n", str(10**17)], 2, None),
+    (["optimize", "--t0", "-0.3", "-0.3", "-0.5", "--n", str(10**17)], 2, None),
 ], ids=["icosa-huge", "icosa-tiny", "optimize-tiny", "optimize-huge", "tetra-huge",
         "icosa-huge-physical", "icosa-max", "optimize-subnormal", "icosa-exponent-t0",
         "optimize-exponent-t0", "quaternion-huge", "quaternion-tiny",
-        "quaternion-subnormal-square", "quaternion-2^1023", "quaternion-2^-1000"])
+        "quaternion-subnormal-square", "quaternion-2^1023", "quaternion-2^-1000",
+        "boundary-huge-n", "scan-huge-n", "optimize-huge-n"])
 def test_target_scale_exits_cleanly(capsys, argv, code, like):
     """A target or a quaternion whose squares under- or overflow is
     rescaled by a power of two, and a negative value written with an
     exponent is a value, not an option: each command exits 0 with a
     positive visibility, or exits 2 with one line; never a warning, a
-    traceback or exit 1.  A quaternion scaled by 2**1023 or 2**-1000 gives
-    the model and report of the unscaled one byte for byte, its
-    ``orientation`` tokens aside."""
+    traceback or exit 1.  So does a grid or a search too large to
+    allocate: a MemoryError is an input error.  A quaternion scaled by
+    2**1023 or 2**-1000 gives the model and report of the unscaled one
+    byte for byte, its ``orientation`` tokens aside."""
     got, out, err = run(capsys, argv)
     assert got == code, err
     if code == 2:

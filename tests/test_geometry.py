@@ -33,6 +33,8 @@ from finitelhs.lhsmodel import (
     SignMixture,
     build_polyhedron_model,
     mapped_norms,
+    model_from_json,
+    model_to_json,
     verify_model,
 )
 from finitelhs.qstate import DiagMat3
@@ -45,6 +47,7 @@ from decompose_oracle import (
     checked_exit_faces,
     computed_frame,
     first_max,
+    is_inversion_symmetric,
     partners,
     rotation_to_z,
     row_exit_faces,
@@ -74,7 +77,7 @@ def test_icosahedron_inversion_symmetric_any_rotation(rng):
         dists = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=2)
         assert dists.min(axis=1).max() < 1e-12
         assert np.allclose(v.sum(axis=0), 0.0, atol=1e-12)
-        assert ico.is_inversion_symmetric
+        assert is_inversion_symmetric(ico)
 
 
 def test_tetrahedron_is_the_canonical_one():
@@ -443,6 +446,59 @@ def test_turned_frame_matches_the_computed_frame(name, quat, make):
         assert np.abs(turned - computed).max() <= 2e-15 * max(np.abs(computed).max(), 1.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SOLID_CONSTANTS)), st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       st.sampled_from(["built", "loaded", "mirror image"]))
+@example("tetrahedron", (1.0, 0.0, 0.0, 0.0), "built")
+@example("tetrahedron", (0.0, 1.0, 0.5, 0.0), "mirror image")
+@example("octahedron", (np.cos(np.pi / 8), 0.0, 0.0, np.sin(np.pi / 8)), "loaded")
+def test_sign_mixture_rule_matches_the_symmetry_scan(name, quat, make):
+    """A polyhedron carries a sign mixture exactly when its kind has an
+    ``octant_table``, and exactly then the scan of its vertex set finds
+    every antipode: on every row, built, loaded from its vertices and
+    mirrored.  SignMixture, decompose_directions and exit_faces read that
+    rule: all accept the polyhedron, or each raises ValueError."""
+    assume(np.linalg.norm(quat) > 0.1)
+    p = geometry._solid(name, Rotation.from_quat(quat))
+    if make != "built":
+        mirror = [-1.0, 1.0, 1.0] if make == "mirror image" else 1.0
+        p = polyhedron_from_vertices(p.vertices * mirror)
+    carries = geometry.octant_table(p.kind) is not None
+    assert carries == is_inversion_symmetric(p) == (name != "tetrahedron")
+    x = random_unit_vectors(np.random.default_rng(0), 20)
+    for read in (SignMixture, lambda q: decompose_directions(q, x), lambda q: exit_faces(q, x)):
+        if carries:
+            read(p)
+        else:
+            with pytest.raises(ValueError, match="'tetrahedron'.* not inversion symmetric"):
+                read(p)
+
+
+@pytest.mark.parametrize("solid", [icosahedron, cube, octahedron])
+def test_a_loaded_model_fits_its_turn_once(solid, monkeypatch, rng):
+    """Loading a sign-mixture model fits the turn of its preimages once,
+    to accept them, and the polyhedron keeps that fit: reading ``turn``
+    and ``checked_frame`` and verifying the model fit nothing more.  The
+    cached turn is a fresh fit of the same vertices, bit for bit."""
+    model = build_polyhedron_model(DiagMat3(-0.5, -0.4, -0.3), solid(random_rotation(rng)))
+    text = model_to_json(model)
+    fits = []
+    original = geometry._fit_turn
+
+    def spy(c, v):
+        fits.append(len(v))
+        return original(c, v)
+
+    monkeypatch.setattr(geometry, "_fit_turn", spy)
+    loaded = model_from_json(text)
+    p = loaded.response.polyhedron
+    normals = p.checked_frame[0]
+    verify_model(loaded, loaded.simulated_state(), random_unit_vectors(rng, 10))
+    assert fits == [len(p.vertices)]
+    assert np.array_equal(p.turn, original(SOLID_CONSTANTS[p.kind].vertices, p.vertices))
+    assert np.array_equal(normals, geometry.canonical_frame(p.kind)[0] @ p.turn)
+
+
 def sign_mixture_model(p: Polyhedron, target: DiagMat3) -> FiniteLhsModel:
     """One atom per vertex of an inversion-symmetric built-in solid,
     weighted by |T0 v_i| as ``build_polyhedron_model`` weights them, at
@@ -524,15 +580,18 @@ def test_rotated_solids_match_their_hull(solid, quat, make):
 def test_no_random_row_of_a_built_in_solid_takes_the_exact_rule(exact_rows, rng):
     """Random rows of a rotated, mirrored or loaded icosahedron, cube or
     octahedron all get their faces in closed form; the tetrahedron is not
-    the same under a sign flip, so each of its rows takes the exact rule."""
+    the same under a sign flip, has no octant table and carries no sign
+    mixture, so exit_faces raises ValueError on it before any row."""
     x = random_unit_vectors(rng, 2000)
     for solid in (icosahedron, cube, octahedron):
         p = solid(random_rotation(rng))
         for q in (p, polyhedron_from_vertices(p.vertices), polyhedron_from_vertices(-p.vertices)):
             assert np.array_equal(exit_faces(q, x), checked_exit_faces(q, x))
     assert exact_rows == []
-    exit_faces(tetrahedron(), x)
-    assert exact_rows == [2000]
+    for tet in (tetrahedron(), polyhedron_from_vertices(-tetrahedron().vertices)):
+        with pytest.raises(ValueError, match="'tetrahedron' is not inversion symmetric"):
+            exit_faces(tet, x)
+    assert exact_rows == []
 
 
 CUBE_CORNER = np.array([[0, 2, 1], [0, 4, 2], [0, 1, 4], [1, 2, 4]])
@@ -623,7 +682,7 @@ def test_frame_with_a_plane_exactly_through_the_origin_fails(frame, rng):
     match = TURN_FIT
     with pytest.raises(RuntimeError, match=match):
         exit_faces(frame, random_unit_vectors(rng, 10))
-    if frame.is_inversion_symmetric:
+    if is_inversion_symmetric(frame):
         model = build_polyhedron_model(DiagMat3(-0.6, -0.5, -0.4), icosahedron())
         model = replace(model, response=SignMixture(frame, model.response.scale))
         with pytest.raises(RuntimeError, match=match):
